@@ -25,15 +25,12 @@ from .engine import (
     SslOutcome,
     majority_vote,
     run_algorithm,
-    run_co_training,
-    run_self_training,
     run_supervised,
-    run_tri_training,
     select_by_count,
     select_by_threshold,
 )
 from .errors import ConfigError, DataError, NumericError, ProtocolError, ProxySslError, ShapeError
-from .numerics import Rng, matmul
+from .numerics import Rng
 from .protocol import (
     AlgorithmEntry,
     CellResult,
@@ -56,8 +53,7 @@ __all__ = [
     "RunResult", "SamplingStrategy", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "fit", "init_model",
     "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
-    "matmul", "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm",
-    "run_co_training", "run_grid", "run_self_training", "run_supervised",
-    "run_tri_training", "save_csv", "select_by_count", "select_by_threshold",
+    "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm",
+    "run_grid", "run_supervised", "save_csv", "select_by_count", "select_by_threshold",
     "split_features", "t_two_tailed_p", "tables_from_results",
 ]

@@ -8,7 +8,7 @@ RunRecord alongside the full per-epoch trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class RunRecord:
 
     epoch_test_accuracy: list[float]
     max_test_accuracy: float
-    final_model: MlpModel = field(repr=False)
 
 
 def init_model(input_dim, n_classes, rng: Rng, hidden=DEFAULT_HIDDEN):
@@ -233,4 +232,4 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
             _, grads = loss_and_grads(m, train_x[idx], train_y[idx])
             adam_step(m, grads, cfg)
         trace.append(accuracy(m, score_x, score_y))
-    return RunRecord(trace, max(trace), m)
+    return RunRecord(trace, max(trace))

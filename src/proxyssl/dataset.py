@@ -35,6 +35,9 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        # the name is a field of the run log and part of the series_* file names
+        if any(ch in self.name for ch in ",/\n\r"):
+            raise DataError(f"dataset name {self.name!r} must not contain ',', '/' or a newline")
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.features.shape[0]

@@ -4,12 +4,26 @@ Abbreviations used throughout: TBST (threshold-based self-training), CBST
 (count-based self-training), CT (co-training), TT (tri-training), TTWD
 (tri-training with disagreement).
 
-Shared loop shape: train on the labeled pool D, predict the unlabeled pool
-U, select a pseudo-label batch, retrain on D plus the batch, repeat. The
-batch is rebuilt from all of U every iteration; samples are never removed
-from U. Warm start (continuing from the previous iteration's parameters and
-optimizer state) is the default; the fresh-model switch re-initializes
-before each retraining instead.
+All five are one loop, ``run_algorithm``: fit K models, predict the
+unlabeled pool U, give each model a pseudo-label batch, retrain each on the
+labeled pool D plus its batch, repeat until a stop rule fires or
+``max_iterations`` is reached. Only these differ per algorithm:
+
+- views: one full-width model (TBST/CBST), two models on the two feature
+  halves (CT), three full-width models (TT/TTWD);
+- initial samples: D, or a bootstrap sample of D per model (TT/TTWD);
+- selection: a confidence band (TBST), a confidence-rank window (CBST),
+  the samples only the peer is confident about (CT), the two peers'
+  agreement (TT; TTWD also requires the receiver to disagree);
+- stop rule: the previous batch covered U (TBST/CBST), every batch is empty
+  (CT), the batches repeat the previous ones (TT/TTWD);
+- evaluation: best epoch of any model; with ``eval_mode="ensemble"``, the
+  mean-probability argmax of two models or the majority vote of three.
+
+Batches are rebuilt from all of U every iteration; samples are never
+removed from U. Warm start (continuing from the previous iteration's
+parameters and optimizer state) is the default; the fresh-model switch
+re-initializes before each retraining instead.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from .errors import ConfigError
 
 ALGORITHMS = ("TBST", "CBST", "CT", "TT", "TTWD")
 EVAL_MODES = ("ensemble", "best_single")
+_SELF_TRAINING = ("TBST", "CBST")
 
 # engine-internal child-stream ids
 _STREAM_BOOTSTRAP = 90
@@ -78,8 +93,8 @@ class SslOutcome:
     """Accuracy trace over iteration boundaries plus per-iteration batch sizes.
 
     ``iteration_accuracy[0]`` is the initial training; each later entry is
-    one pseudo-label iteration. ``pseudo_label_counts[k]`` holds the batch
-    size per model for iteration k+1.
+    one pseudo-label iteration. ``pseudo_label_counts[k][s]`` is the size of
+    the batch that model ``s`` received and trained on in iteration k+1.
     """
 
     iteration_accuracy: list[float]
@@ -128,6 +143,20 @@ def tri_training_batches(preds, disagreement):
     return batches
 
 
+def co_training_batches(labels, confs, tau):
+    """Per-model pseudo-label batches from the two co-training views.
+
+    Model i receives the samples whose confidence exceeds ``tau`` under its
+    peer only, labeled by that peer.
+    """
+    batches = []
+    for i in range(2):
+        j = 1 - i
+        idx = np.where((confs[j] > tau) & (confs[i] < tau))[0]
+        batches.append(PseudoLabelBatch(idx, labels[j][idx], source=f"m{j}"))
+    return batches
+
+
 def majority_vote(preds, probs):
     """Modal label of three predictions per sample.
 
@@ -150,24 +179,6 @@ def majority_vote(preds, probs):
     return out
 
 
-def _assert_sound(split: SemiSplit, global_ids):
-    u = set(split.unlabeled_idx.tolist())
-    t = set(split.test_idx.tolist())
-    ids = set(np.asarray(global_ids).tolist())
-    assert ids <= u and not (ids & t), "pseudo-labeled ids must come from U, never test"
-
-
-def _train_sets(ds: Dataset, split: SemiSplit, batch: PseudoLabelBatch, cols=None):
-    """D plus a pseudo-label batch as concrete arrays, soundness-checked."""
-    u_ids = split.unlabeled_idx[batch.indices]
-    _assert_sound(split, u_ids)
-    x = np.concatenate([ds.features[split.labeled_idx], ds.features[u_ids]])
-    y = np.concatenate([ds.labels[split.labeled_idx], batch.labels])
-    if cols is not None:
-        x = x[:, cols[0] : cols[1]]
-    return x, y
-
-
 def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
     """Labeled-only baseline: one model, one fit, U ignored.
 
@@ -186,160 +197,90 @@ def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
     return SslOutcome([rec.max_test_accuracy], rec.max_test_accuracy, [], [model])
 
 
-def run_self_training(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: TrainConfig, rng):
-    """TBST / CBST: one model teaching itself its confident predictions.
+def _views(ds: Dataset, cfg: SslConfig):
+    """Column range per model: one or three full-width models, or CT's halves."""
+    if cfg.algorithm == "CT":
+        fs = split_features(ds)
+        return [fs.view_a, fs.view_b]
+    return [(0, ds.d)] * (1 if cfg.algorithm in _SELF_TRAINING else 3)
 
-    Stops when the selection covers all of U in an iteration or after
-    ``max_iterations``. An empty U degenerates to the supervised fit.
+
+def _select(cfg: SslConfig, models, views, u_x):
+    """Predict U with every model; one pseudo-label batch per receiving model."""
+    labels, confs = zip(*(predict(m, u_x[:, lo:hi]) for m, (lo, hi) in zip(models, views)))
+    if cfg.algorithm == "TBST":
+        return [select_by_threshold(confs[0], labels[0], cfg.tau1, cfg.tau2)]
+    if cfg.algorithm == "CBST":
+        return [select_by_count(confs[0], labels[0], cfg.count_lo, cfg.count_hi)]
+    if cfg.algorithm == "CT":
+        return co_training_batches(labels, confs, cfg.tau1)
+    return tri_training_batches(labels, cfg.algorithm == "TTWD")
+
+
+def _stop(cfg: SslConfig, batches, prev, n_unlabeled):
+    """Stop rule, checked on fresh batches before retraining on them."""
+    if cfg.algorithm in _SELF_TRAINING:
+        return prev is not None and len(prev[0]) == n_unlabeled
+    if cfg.algorithm == "CT":
+        return all(len(b) == 0 for b in batches)
+    return prev is not None and all(b.same_as(p) for b, p in zip(batches, prev))
+
+
+def _evaluate(cfg: SslConfig, models, views, recs, test_x, test_y):
+    """Best epoch of any model, or the ensemble's test accuracy.
+
+    Two models average their probabilities; three take a majority vote.
     """
-    if cfg.algorithm not in ("TBST", "CBST"):
-        raise ConfigError(f"run_self_training got algorithm {cfg.algorithm!r}")
-    if len(split.unlabeled_idx) == 0:
-        return run_supervised(ds, split, train_cfg, rng)
-
-    test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
-    u_x = ds.features[split.unlabeled_idx]
-    model = init_model(ds.d, ds.n_classes, rng.child(0).child(0).child(0))
-    rec = fit(model, ds.features[split.labeled_idx], ds.labels[split.labeled_idx],
-              test_x, test_y, train_cfg, rng.child(0).child(0).child(1))
-    trace = [rec.max_test_accuracy]
-    counts = []
-    for it in range(1, cfg.max_iterations + 1):
-        labels, conf = predict(model, u_x)
-        if cfg.algorithm == "TBST":
-            batch = select_by_threshold(conf, labels, cfg.tau1, cfg.tau2)
-        else:
-            batch = select_by_count(conf, labels, cfg.count_lo, cfg.count_hi)
-        if cfg.fresh_model_each_iteration:
-            model = init_model(ds.d, ds.n_classes, rng.child(it).child(0).child(0))
-        x, y = _train_sets(ds, split, batch)
-        rec = fit(model, x, y, test_x, test_y, train_cfg, rng.child(it).child(0).child(1))
-        trace.append(rec.max_test_accuracy)
-        counts.append([len(batch)])
-        if len(batch) == len(split.unlabeled_idx):
-            break
-    return SslOutcome(trace, max(trace), counts, [model])
-
-
-def _ct_eval(models, views, test_x, test_y, recs, eval_mode):
-    if eval_mode == "best_single":
+    if len(models) == 1 or cfg.eval_mode == "best_single":
         return max(rec.max_test_accuracy for rec in recs)
-    avg = sum(forward(m, test_x[:, v[0] : v[1]]) for m, v in zip(models, views)) / len(models)
-    return float(np.mean(avg.argmax(axis=1) == test_y))
-
-
-def run_co_training(ds: Dataset, split: SemiSplit, fs, cfg: SslConfig, train_cfg: TrainConfig, rng):
-    """CT: two models on disjoint feature halves teach each other.
-
-    A sample moves when exactly one model clears the single threshold
-    ``tau1``; the confident model's label trains the other model. The loop
-    ends when neither side produces a batch.
-    """
-    if cfg.algorithm != "CT":
-        raise ConfigError(f"run_co_training got algorithm {cfg.algorithm!r}")
-    if len(split.unlabeled_idx) == 0:
-        return run_supervised(ds, split, train_cfg, rng)
-
-    views = [fs.view_a, fs.view_b]
-    tau = cfg.tau1
-    test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
-    u_x = ds.features[split.unlabeled_idx]
-    d_x, d_y = ds.features[split.labeled_idx], ds.labels[split.labeled_idx]
-
-    models, recs = [], []
-    for s, (lo, hi) in enumerate(views):
-        m = init_model(hi - lo, ds.n_classes, rng.child(0).child(s).child(0))
-        recs.append(fit(m, d_x[:, lo:hi], d_y, test_x[:, lo:hi], test_y,
-                        train_cfg, rng.child(0).child(s).child(1)))
-        models.append(m)
-    trace = [_ct_eval(models, views, test_x, test_y, recs, cfg.eval_mode)]
-    counts = []
-    for it in range(1, cfg.max_iterations + 1):
-        labeled, confs = zip(*(predict(m, u_x[:, v[0] : v[1]]) for m, v in zip(models, views)))
-        batch1 = PseudoLabelBatch(*_one_sided(confs[0], confs[1], labeled[0], tau), source="m1")
-        batch2 = PseudoLabelBatch(*_one_sided(confs[1], confs[0], labeled[1], tau), source="m2")
-        if len(batch1) == 0 and len(batch2) == 0:
-            break
-        recs = []
-        # each model trains on its own view of D plus the *other* model's batch
-        for s, (m, (lo, hi), batch) in enumerate(zip(models, views, (batch2, batch1))):
-            if cfg.fresh_model_each_iteration:
-                m = init_model(hi - lo, ds.n_classes, rng.child(it).child(s).child(0))
-                models[s] = m
-            x, y = _train_sets(ds, split, batch, cols=(lo, hi))
-            recs.append(fit(m, x, y, test_x[:, lo:hi], test_y,
-                            train_cfg, rng.child(it).child(s).child(1)))
-        trace.append(_ct_eval(models, views, test_x, test_y, recs, cfg.eval_mode))
-        counts.append([len(batch1), len(batch2)])
-    return SslOutcome(trace, max(trace), counts, models)
-
-
-def _one_sided(conf_hi, conf_lo, labels, tau):
-    idx = np.where((conf_hi > tau) & (conf_lo < tau))[0]
-    return idx, labels[idx]
-
-
-def _tt_eval(models, test_x, test_y, recs, eval_mode):
-    if eval_mode == "best_single":
-        return max(rec.max_test_accuracy for rec in recs)
-    preds, probs = [], []
-    for m in models:
-        p = forward(m, test_x)
-        probs.append(p)
-        preds.append(p.argmax(axis=1))
-    return float(np.mean(majority_vote(preds, probs) == test_y))
-
-
-def run_tri_training(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: TrainConfig, rng):
-    """TT / TTWD: three bootstrap-diversified models cross-teaching.
-
-    Each model receives the samples its two peers agree on (TTWD adds the
-    requirement that the receiver currently disagrees). Stops when all three
-    batches repeat the previous iteration exactly, or at ``max_iterations``.
-    """
-    if cfg.algorithm not in ("TT", "TTWD"):
-        raise ConfigError(f"run_tri_training got algorithm {cfg.algorithm!r}")
-    if len(split.unlabeled_idx) == 0:
-        return run_supervised(ds, split, train_cfg, rng)
-
-    disagreement = cfg.algorithm == "TTWD"
-    test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
-    u_x = ds.features[split.unlabeled_idx]
-    boot_rng = rng.child(_STREAM_BOOTSTRAP)
-
-    models, recs = [], []
-    for s in range(3):
-        sample = bootstrap_sample(split.labeled_idx, cfg.sampling, s, boot_rng)
-        m = init_model(ds.d, ds.n_classes, rng.child(0).child(s).child(0))
-        recs.append(fit(m, ds.features[sample], ds.labels[sample], test_x, test_y,
-                        train_cfg, rng.child(0).child(s).child(1)))
-        models.append(m)
-    trace = [_tt_eval(models, test_x, test_y, recs, cfg.eval_mode)]
-    counts = []
-    prev = [None, None, None]
-    for it in range(1, cfg.max_iterations + 1):
-        preds = [predict(m, u_x)[0] for m in models]
-        batches = tri_training_batches(preds, disagreement)
-        if all(b.same_as(p) for b, p in zip(batches, prev)):
-            break
-        recs = []
-        for s, batch in enumerate(batches):
-            m = models[s]
-            if cfg.fresh_model_each_iteration:
-                m = init_model(ds.d, ds.n_classes, rng.child(it).child(s).child(0))
-                models[s] = m
-            x, y = _train_sets(ds, split, batch)
-            recs.append(fit(m, x, y, test_x, test_y, train_cfg, rng.child(it).child(s).child(1)))
-        trace.append(_tt_eval(models, test_x, test_y, recs, cfg.eval_mode))
-        counts.append([len(b) for b in batches])
-        prev = batches
-    return SslOutcome(trace, max(trace), counts, models)
+    probs = [forward(m, test_x[:, lo:hi]) for m, (lo, hi) in zip(models, views)]
+    if len(models) == 2:
+        voted = (sum(probs) / 2).argmax(axis=1)
+    else:
+        voted = majority_vote([p.argmax(axis=1) for p in probs], probs)
+    return float(np.mean(voted == test_y))
 
 
 def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: TrainConfig, rng):
-    """Dispatch one SSL run by configured algorithm."""
-    if cfg.algorithm in ("TBST", "CBST"):
-        return run_self_training(ds, split, cfg, train_cfg, rng)
-    if cfg.algorithm == "CT":
-        return run_co_training(ds, split, split_features(ds), cfg, train_cfg, rng)
-    return run_tri_training(ds, split, cfg, train_cfg, rng)
+    """One SSL run: fit every model, then pseudo-label U until a stop rule fires.
+
+    Model ``s`` of iteration ``it`` draws its initialization from
+    ``rng.child(it).child(s).child(0)`` and its training order from
+    ``.child(1)``. An empty U degenerates to the supervised fit.
+    """
+    if len(split.unlabeled_idx) == 0:
+        return run_supervised(ds, split, train_cfg, rng)
+
+    views = _views(ds, cfg)
+    d_x, d_y = ds.features[split.labeled_idx], ds.labels[split.labeled_idx]
+    u_x = ds.features[split.unlabeled_idx]
+    test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
+    if cfg.algorithm in ("TT", "TTWD"):
+        boot_rng = rng.child(_STREAM_BOOTSTRAP)
+        samples = (bootstrap_sample(split.labeled_idx, cfg.sampling, s, boot_rng) for s in range(3))
+        initial = ((ds.features[i], ds.labels[i]) for i in samples)
+    else:
+        initial = [(d_x, d_y)] * len(views)
+
+    models = [None] * len(views)
+
+    def train(it, train_sets):
+        recs = []
+        for s, ((lo, hi), (x, y)) in enumerate(zip(views, train_sets)):
+            if models[s] is None or cfg.fresh_model_each_iteration:
+                models[s] = init_model(hi - lo, ds.n_classes, rng.child(it).child(s).child(0))
+            recs.append(fit(models[s], x[:, lo:hi], y, test_x[:, lo:hi], test_y,
+                            train_cfg, rng.child(it).child(s).child(1)))
+        return _evaluate(cfg, models, views, recs, test_x, test_y)
+
+    trace, counts, prev = [train(0, initial)], [], None
+    for it in range(1, cfg.max_iterations + 1):
+        batches = _select(cfg, models, views, u_x)
+        if _stop(cfg, batches, prev, len(u_x)):
+            break
+        # batch rows are taken from U's own matrix, so a test row cannot be pseudo-labeled
+        trace.append(train(it, ((np.concatenate([d_x, u_x[b.indices]]),
+                                 np.concatenate([d_y, b.labels])) for b in batches)))
+        counts.append([len(b) for b in batches])
+        prev = batches
+    return SslOutcome(trace, max(trace), counts, models)

@@ -1,7 +1,4 @@
-"""Dense float64 matrix helpers and deterministic seeded random streams.
-
-Matrices are plain 2-D C-contiguous ``numpy.float64`` arrays throughout the
-package; this module provides the checked entry points other modules use.
+"""Finiteness check and deterministic seeded random streams.
 
 Random streams are backed by NumPy's Philox4x64-10 counter-based generator,
 keyed through ``numpy.random.SeedSequence(seed, spawn_key=path)``. The
@@ -14,20 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-
-
-def as_matrix(data, rows=None, cols=None):
-    """Coerce ``data`` to a C-contiguous float64 2-D array, checking shape."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {m.shape[1]}")
-    check_finite(m, "matrix")
-    return m
+from .errors import NumericError
 
 
 def check_finite(arr, what="array"):
@@ -35,22 +19,6 @@ def check_finite(arr, what="array"):
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {what}")
     return arr
-
-
-def matmul(a, b):
-    """Matrix product with explicit shape checking.
-
-    Raises ShapeError naming both shapes when ``a.cols != b.rows``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    check_finite(out, "matmul result")
-    return out
 
 
 class Rng:

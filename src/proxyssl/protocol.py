@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .classifier import TrainConfig
 from .dataset import Dataset, make_semi_split
@@ -52,8 +52,13 @@ class AlgorithmEntry:
             raise ConfigError(f"variant detail {self.detail!r} must not contain ',' or '/'")
 
     def row_label(self):
-        name = {"oracle": "Oracle", "supervised": "Supervised"}.get(self.algorithm, self.algorithm)
-        return name if self.detail == "std" else f"{name} {self.detail}"
+        return format_row_label(self.algorithm, self.detail)
+
+
+def format_row_label(algorithm, detail):
+    """Table row label: display name, then the variant detail unless it is "std"."""
+    name = {"oracle": "Oracle", "supervised": "Supervised"}.get(algorithm, algorithm)
+    return name if detail == "std" else f"{name} {detail}"
 
 
 @dataclass
@@ -162,15 +167,13 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
     run failure aborts with a diagnostic naming the cell.
     """
     descriptors = enumerate_runs(grid)
-    cache = {}
-    results = [None] * len(descriptors)
 
     def work_key(ds, rate, entry, fold, trial):
         return (ds.name, 0.0 if entry.algorithm == "oracle" else rate,
                 entry.algorithm, repr(entry.ssl), fold, trial)
 
-    def one(i):
-        ds, rate, entry, fold, trial = descriptors[i]
+    def one(desc):
+        ds, rate, entry, fold, trial = desc
         try:
             res = _execute_run(ds, rate, entry, fold, trial, grid)
         except Exception as exc:
@@ -182,32 +185,19 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
             progress(res)
         return res
 
+    # dedupe, execute each distinct run once, then relabel per requesting entry
+    keys = [work_key(*desc) for desc in descriptors]
+    first = {}
+    for key, desc in zip(keys, descriptors):
+        first.setdefault(key, desc)
     if jobs <= 1:
-        for i, desc in enumerate(descriptors):
-            key = work_key(*desc)
-            if key in cache:
-                src = cache[key]
-                ds, rate, entry, fold, trial = desc
-                results[i] = RunResult(src.dataset, src.rate, src.algorithm,
-                                       f"{grid.study}/{entry.detail}", src.fold, src.trial,
-                                       src.max_test_acc, src.iterations, src.wall_ms)
-            else:
-                results[i] = one(i)
-                cache[key] = results[i]
+        executed = list(map(one, first.values()))
     else:
-        # dedupe first, then fan out; aggregation stays single-threaded
-        first_of = {}
-        for i, desc in enumerate(descriptors):
-            first_of.setdefault(work_key(*desc), i)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            executed = dict(zip(first_of.values(), pool.map(one, first_of.values())))
-        for i, desc in enumerate(descriptors):
-            src = executed[first_of[work_key(*desc)]]
-            ds, rate, entry, fold, trial = desc
-            results[i] = RunResult(src.dataset, src.rate, src.algorithm,
-                                   f"{grid.study}/{entry.detail}", src.fold, src.trial,
-                                   src.max_test_acc, src.iterations, src.wall_ms)
-    return results
+            executed = list(pool.map(one, first.values()))
+    by_key = dict(zip(first, executed))
+    return [replace(by_key[key], variant=f"{grid.study}/{entry.detail}")
+            for key, (_, _, entry, _, _) in zip(keys, descriptors)]
 
 
 def format_log(results):
@@ -269,11 +259,6 @@ class ComparisonTable:
     cells: dict  # (row_label, dataset) -> CellResult
 
 
-def _row_label(algorithm, detail):
-    name = {"oracle": "Oracle", "supervised": "Supervised"}.get(algorithm, algorithm)
-    return name if detail == "std" else f"{name} {detail}"
-
-
 def tables_from_results(results, alpha=0.10):
     """Group run results into one ComparisonTable per (study, rate block).
 
@@ -302,7 +287,7 @@ def tables_from_results(results, alpha=0.10):
             rows, cells = [], {}
             chosen = oracle + [r for r in block_runs if r.rate == rate]
             for r in chosen:
-                label = _row_label(r.algorithm, r.detail)
+                label = format_row_label(r.algorithm, r.detail)
                 if label not in rows:
                     rows.append(label)
                 cells.setdefault((label, r.dataset), CellResult(runs=[])).runs.append(

@@ -188,6 +188,20 @@ class TestRunAndReport:
         assert main(["run", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unsafe_dataset_name_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "comma.csv"
+        data.write_text("# name=a,b d=1\n0,0,1.0\n1,1,2.0\n", encoding="utf-8")
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = supervised\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_grid reached")
+
+        monkeypatch.setattr("proxyssl.cli.run_grid", no_training)
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        assert "must not contain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_log_exit_1(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
         log.write_text("not,a,log\n", encoding="utf-8")

@@ -73,6 +73,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=":3:"):
             load_csv(p)
 
+    @pytest.mark.parametrize("name", ["a,b", "a/b"])
+    def test_name_unsafe_for_log_and_paths_rejected(self, tmp_path, name):
+        p = tmp_path / "named.csv"
+        write_lines(p, [f"# name={name} d=1", "0,0,1.0", "1,1,2.0"])
+        with pytest.raises(DataError, match="must not contain"):
+            load_csv(p)
+
+    def test_name_with_newline_rejected(self):
+        with pytest.raises(DataError, match="must not contain"):
+            Dataset("a\nb", np.ones((2, 1)), np.array([0, 1]), 2)
+
     def test_round_trip(self, tmp_path):
         ds = make_blobs("round", n=40, d=7, n_classes=3, separation=3.0, seed=9)
         p = tmp_path / "round.csv"

@@ -3,16 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from proxyssl.classifier import TrainConfig, predict
-from proxyssl.dataset import SamplingStrategy, make_semi_split, split_features
+from proxyssl import engine
+from proxyssl.classifier import TrainConfig, fit, predict
+from proxyssl.dataset import SamplingStrategy, make_semi_split
 from proxyssl.engine import (
     SslConfig,
     majority_vote,
     run_algorithm,
-    run_co_training,
-    run_self_training,
     run_supervised,
-    run_tri_training,
     select_by_count,
     select_by_threshold,
     tri_training_batches,
@@ -189,7 +187,7 @@ class TestSelfTraining:
         ds, _ = blob_split()
         split = make_semi_split(ds, 0.0, 0, 3, Rng(3))
         cfg = SslConfig("TBST", max_iterations=3)
-        a = run_self_training(ds, split, cfg, FAST, Rng(9))
+        a = run_algorithm(ds, split, cfg, FAST, Rng(9))
         b = run_supervised(ds, split, FAST, Rng(9))
         assert a.iteration_accuracy == b.iteration_accuracy
         assert a.iterations_run == 0
@@ -197,7 +195,7 @@ class TestSelfTraining:
     def test_one_iteration_is_two_fits(self):
         ds, split = blob_split()
         cfg = SslConfig("TBST", tau1=0.5, max_iterations=1)
-        out = run_self_training(ds, split, cfg, FAST, Rng(9))
+        out = run_algorithm(ds, split, cfg, FAST, Rng(9))
         assert len(out.iteration_accuracy) == 2
         assert out.iterations_run == 1
 
@@ -205,7 +203,7 @@ class TestSelfTraining:
         ds, split = blob_split(n=120)
         assert len(split.unlabeled_idx) < 500
         cfg = SslConfig("CBST", count_lo=0, count_hi=500, max_iterations=6)
-        out = run_self_training(ds, split, cfg, FAST, Rng(9))
+        out = run_algorithm(ds, split, cfg, FAST, Rng(9))
         # window covers all of U on the first pass, so the loop ends there
         assert out.iterations_run == 1
         assert out.pseudo_label_counts == [[len(split.unlabeled_idx)]]
@@ -213,15 +211,15 @@ class TestSelfTraining:
     def test_deterministic(self):
         ds, split = blob_split()
         cfg = SslConfig("TBST", max_iterations=2)
-        a = run_self_training(ds, split, cfg, FAST, Rng(10))
-        b = run_self_training(ds, split, cfg, FAST, Rng(10))
+        a = run_algorithm(ds, split, cfg, FAST, Rng(10))
+        b = run_algorithm(ds, split, cfg, FAST, Rng(10))
         assert a.iteration_accuracy == b.iteration_accuracy
         assert a.pseudo_label_counts == b.pseudo_label_counts
 
     def test_fresh_model_differs_from_warm(self):
         ds, split = blob_split()
-        warm = run_self_training(ds, split, SslConfig("TBST", max_iterations=2), FAST, Rng(11))
-        fresh = run_self_training(
+        warm = run_algorithm(ds, split, SslConfig("TBST", max_iterations=2), FAST, Rng(11))
+        fresh = run_algorithm(
             ds, split, SslConfig("TBST", max_iterations=2, fresh_model_each_iteration=True),
             FAST, Rng(11))
         assert warm.iteration_accuracy[0] == fresh.iteration_accuracy[0]
@@ -229,51 +227,60 @@ class TestSelfTraining:
 
     def test_max_consistent_with_trace(self):
         ds, split = blob_split()
-        out = run_self_training(ds, split, SslConfig("CBST", count_hi=50, max_iterations=3),
-                                FAST, Rng(12))
+        out = run_algorithm(ds, split, SslConfig("CBST", count_hi=50, max_iterations=3),
+                            FAST, Rng(12))
         assert out.max_test_accuracy == max(out.iteration_accuracy)
         assert all(c[0] <= len(split.unlabeled_idx) for c in out.pseudo_label_counts)
-
-    def test_wrong_algorithm_rejected(self):
-        ds, split = blob_split()
-        with pytest.raises(ConfigError):
-            run_self_training(ds, split, SslConfig("CT"), FAST, Rng(1))
 
 
 class TestCoTraining:
     def test_runs_and_is_deterministic(self):
         ds, split = blob_split()
-        fs = split_features(ds)
         cfg = SslConfig("CT", tau1=0.8, max_iterations=2)
-        a = run_co_training(ds, split, fs, cfg, FAST, Rng(20))
-        b = run_co_training(ds, split, fs, cfg, FAST, Rng(20))
+        a = run_algorithm(ds, split, cfg, FAST, Rng(20))
+        b = run_algorithm(ds, split, cfg, FAST, Rng(20))
         assert a.iteration_accuracy == b.iteration_accuracy
         assert len(a.final_models) == 2
 
     def test_impossible_threshold_terminates_immediately(self):
         ds, split = blob_split()
-        fs = split_features(ds)
         # tau1 close to 1: no confidence can exceed it, both batches empty
         cfg = SslConfig("CT", tau1=0.999999, tau2=1.0, max_iterations=5)
-        out = run_co_training(ds, split, fs, cfg, FAST, Rng(21))
+        out = run_algorithm(ds, split, cfg, FAST, Rng(21))
         assert out.iterations_run == 0
         assert len(out.iteration_accuracy) == 1
 
     def test_best_single_vs_ensemble_modes(self):
         ds, split = blob_split()
-        fs = split_features(ds)
-        ens = run_co_training(ds, split, fs, SslConfig("CT", max_iterations=1), FAST, Rng(22))
-        single = run_co_training(
-            ds, split, fs, SslConfig("CT", max_iterations=1, eval_mode="best_single"),
-            FAST, Rng(22))
+        ens = run_algorithm(ds, split, SslConfig("CT", max_iterations=1), FAST, Rng(22))
+        single = run_algorithm(
+            ds, split, SslConfig("CT", max_iterations=1, eval_mode="best_single"), FAST, Rng(22))
         assert ens.pseudo_label_counts == single.pseudo_label_counts
         assert 0.0 <= ens.max_test_accuracy <= 1.0
         assert 0.0 <= single.max_test_accuracy <= 1.0
 
+    def test_counts_are_per_receiving_model(self, monkeypatch):
+        ds, split = blob_split()
+        sizes = []  # training rows per fit call, in call order
+
+        def recording_fit(model, train_x, *args):
+            sizes.append(len(train_x))
+            return fit(model, train_x, *args)
+
+        monkeypatch.setattr(engine, "fit", recording_fit)
+        out = run_algorithm(ds, split, SslConfig("CT", tau1=0.6, max_iterations=3), FAST, Rng(24))
+        assert out.iterations_run >= 1
+        n_d = len(split.labeled_idx)
+        # fit calls: two initial, then model 0 and model 1 per iteration
+        assert sizes[:2] == [n_d, n_d]
+        for k, counts in enumerate(out.pseudo_label_counts):
+            assert sizes[2 + 2 * k : 4 + 2 * k] == [n_d + counts[0], n_d + counts[1]]
+        assert any(c[0] != c[1] for c in out.pseudo_label_counts)
+
     def test_empty_u_equals_supervised(self):
         ds, _ = blob_split()
         split = make_semi_split(ds, 0.0, 0, 3, Rng(3))
-        out = run_co_training(ds, split, split_features(ds), SslConfig("CT"), FAST, Rng(23))
+        out = run_algorithm(ds, split, SslConfig("CT"), FAST, Rng(23))
         sup = run_supervised(ds, split, FAST, Rng(23))
         assert out.iteration_accuracy == sup.iteration_accuracy
 
@@ -282,8 +289,8 @@ class TestTriTraining:
     def test_runs_and_is_deterministic(self):
         ds, split = blob_split()
         cfg = SslConfig("TT", max_iterations=2)
-        a = run_tri_training(ds, split, cfg, FAST, Rng(30))
-        b = run_tri_training(ds, split, cfg, FAST, Rng(30))
+        a = run_algorithm(ds, split, cfg, FAST, Rng(30))
+        b = run_algorithm(ds, split, cfg, FAST, Rng(30))
         assert a.iteration_accuracy == b.iteration_accuracy
         assert a.pseudo_label_counts == b.pseudo_label_counts
         assert len(a.final_models) == 3
@@ -291,7 +298,7 @@ class TestTriTraining:
     def test_ttwd_batches_subset_of_tt(self):
         ds, split = blob_split()
         cfg_tt = SslConfig("TT", max_iterations=1)
-        out = run_tri_training(ds, split, cfg_tt, FAST, Rng(31))
+        out = run_algorithm(ds, split, cfg_tt, FAST, Rng(31))
         u_x = ds.features[split.unlabeled_idx]
         preds = [predict(m, u_x)[0] for m in out.final_models]
         tt = tri_training_batches(preds, disagreement=False)
@@ -304,20 +311,20 @@ class TestTriTraining:
         base = SslConfig("TT", max_iterations=1)
         boot = SslConfig("TT", max_iterations=1,
                          sampling=SamplingStrategy("x_half", with_replacement=True))
-        a = run_tri_training(ds, split, base, FAST, Rng(32))
-        b = run_tri_training(ds, split, boot, FAST, Rng(32))
+        a = run_algorithm(ds, split, base, FAST, Rng(32))
+        b = run_algorithm(ds, split, boot, FAST, Rng(32))
         assert a.iteration_accuracy != b.iteration_accuracy
 
     def test_stops_when_batches_stabilize(self):
         ds, split = blob_split(separation=8.0)  # easy data -> quick agreement
         cfg = SslConfig("TT", max_iterations=20)
-        out = run_tri_training(ds, split, cfg, TrainConfig(epochs=10, batch_size=16), Rng(33))
+        out = run_algorithm(ds, split, cfg, TrainConfig(epochs=10, batch_size=16), Rng(33))
         assert out.iterations_run < 20
 
     def test_empty_u_equals_supervised(self):
         ds, _ = blob_split()
         split = make_semi_split(ds, 0.0, 0, 3, Rng(3))
-        out = run_tri_training(ds, split, SslConfig("TTWD"), FAST, Rng(34))
+        out = run_algorithm(ds, split, SslConfig("TTWD"), FAST, Rng(34))
         sup = run_supervised(ds, split, FAST, Rng(34))
         assert out.iteration_accuracy == sup.iteration_accuracy
 

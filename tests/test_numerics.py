@@ -1,67 +1,7 @@
 import numpy as np
 import pytest
 
-from proxyssl.errors import ShapeError
-from proxyssl.numerics import Rng, as_matrix, matmul
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product, independent of numpy's matmul path."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_against_naive_oracle(self):
-        rng = Rng(3)
-        a = rng.uniform(-1, 1, 35).reshape(5, 7)
-        b = rng.uniform(-1, 1, 21).reshape(7, 3)
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-    def test_oracle_agreement_many_dims(self):
-        rng = Rng(11)
-        for _ in range(20):
-            n, k, m = (int(v) for v in rng.integers(1, 33, 3))
-            a = rng.uniform(-2, 2, n * k).reshape(n, k)
-            b = rng.uniform(-2, 2, k * m).reshape(k, m)
-            assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-    def test_associativity(self):
-        rng = Rng(5)
-        for _ in range(10):
-            a = rng.uniform(-1, 1, 12).reshape(3, 4)
-            b = rng.uniform(-1, 1, 20).reshape(4, 5)
-            c = rng.uniform(-1, 1, 10).reshape(5, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = np.maximum(np.abs(left), 1e-12)
-            assert np.max(np.abs(left - right) / denom) < 1e-9
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_as_matrix_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            as_matrix(np.zeros(4))
+from proxyssl.numerics import Rng
 
 
 class TestRng:
