@@ -71,11 +71,10 @@ class SslConfig:
 
 @dataclass
 class PseudoLabelBatch:
-    """Selected positions into U, their assigned labels and the teacher id."""
+    """Selected positions into U and their assigned labels."""
 
     indices: np.ndarray
     labels: np.ndarray
-    source: str = ""
 
     def __len__(self):
         return len(self.indices)
@@ -139,7 +138,7 @@ def tri_training_batches(preds, disagreement):
         if disagreement:
             mask = mask & (preds[i] != preds[j])
         idx = np.where(mask)[0]
-        batches.append(PseudoLabelBatch(idx, preds[j][idx], source=f"m{j}m{k}"))
+        batches.append(PseudoLabelBatch(idx, preds[j][idx]))
     return batches
 
 
@@ -153,7 +152,7 @@ def co_training_batches(labels, confs, tau):
     for i in range(2):
         j = 1 - i
         idx = np.where((confs[j] > tau) & (confs[i] < tau))[0]
-        batches.append(PseudoLabelBatch(idx, labels[j][idx], source=f"m{j}"))
+        batches.append(PseudoLabelBatch(idx, labels[j][idx]))
     return batches
 
 
@@ -163,19 +162,16 @@ def majority_vote(preds, probs):
     A three-way split falls back to the candidate label with the highest
     probability summed across the models, then the lowest class index.
     """
-    p = np.stack(preds)  # (3, n)
-    n = p.shape[1]
-    summed = probs[0] + probs[1] + probs[2]
-    out = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        a, b, c = p[0, s], p[1, s], p[2, s]
-        if a == b or a == c:
-            out[s] = a
-        elif b == c:
-            out[s] = b
-        else:
-            cands = sorted({a, b, c})
-            out[s] = max(cands, key=lambda lbl: (summed[s, lbl], -lbl))
+    a, b, c = (np.asarray(p, dtype=np.int64) for p in preds)
+    # a when it has a partner, else c: that is b's label whenever b == c
+    out = np.where((a == b) | (a == c), a, c)
+    split = np.flatnonzero((a != b) & (a != c) & (b != c))
+    if split.size:
+        summed = probs[0][split] + probs[1][split] + probs[2][split]
+        cands = np.sort(np.stack([a[split], b[split], c[split]], axis=1), axis=1)
+        # argmax takes the first maximum, so the lowest label wins a tie
+        best = np.take_along_axis(summed, cands, axis=1).argmax(axis=1)
+        out[split] = cands[np.arange(split.size), best]
     return out
 
 

@@ -9,6 +9,8 @@ stream ids never alias each other.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NumericError
@@ -33,8 +35,15 @@ class Rng:
     def __init__(self, seed, _path=()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in _path)
+        if self.seed < 0 or any(p < 0 for p in self.path):
+            raise ValueError(f"seed and stream ids must be >= 0, got {self!r}")
+
+    @cached_property
+    def _gen(self):
+        # built on first draw: intermediate streams such as rng.child(it) often
+        # only derive children and never draw
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(seq))
 
     def child(self, stream_id):
         return Rng(self.seed, self.path + (int(stream_id),))

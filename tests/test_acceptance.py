@@ -91,23 +91,18 @@ def cell_accs(results, algorithm, rate=None):
 
 
 def finite_difference_grads(model, x, y, h):
-    grads_w, grads_b = [], []
-    for arr, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-        for param in arr:
-            g = np.zeros_like(param)
-            it = np.nditer(param, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = param[idx]
-                param[idx] = orig + h
-                lp, _ = loss_and_grads(model, x, y)
-                param[idx] = orig - h
-                lm, _ = loss_and_grads(model, x, y)
-                param[idx] = orig
-                g[idx] = (lp - lm) / (2 * h)
-                it.iternext()
-            grads.append(g)
-    return {"w": grads_w, "b": grads_b}
+    """Central-difference gradient for every parameter, in the params layout."""
+    flat = model.params
+    g = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        lp, _ = loss_and_grads(model, x, y)
+        flat[k] = orig - h
+        lm, _ = loss_and_grads(model, x, y)
+        flat[k] = orig
+        g[k] = (lp - lm) / (2 * h)
+    return g
 
 
 def test_gradient_correctness():
@@ -121,11 +116,8 @@ def test_gradient_correctness():
     assert min(float(np.min(np.abs(p))) for p in pre[:-1]) > 1e-4
     _, analytic = loss_and_grads(model, x, y)
     numeric = finite_difference_grads(model, x, y, h=1e-5)
-    worst = 0.0
-    for key in ("w", "b"):
-        for a, n in zip(analytic[key], numeric[key]):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    worst = float(np.max(np.abs(analytic - numeric) / denom))
     elapsed = time.monotonic() - t0
     assert worst < 1e-4
     assert elapsed < 5.0
@@ -156,7 +148,9 @@ def test_adam_single_step_oracle():
     cfg = TrainConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_epsilon=eps)
     m = MlpModel([1, 2], [np.array([[0.3, 0.0]])], [np.zeros(2)])
     g = 2.5  # constant gradient
-    adam_step(m, {"w": [np.array([[g, 0.0]])], "b": [np.zeros(2)]}, cfg)
+    grad = np.zeros_like(m.params)
+    grad[0] = g  # weights[0][0, 0] leads the params layout
+    adam_step(m, grad, cfg)
     mom = (1 - b1) * g
     vel = (1 - b2) * g * g
     expected = 0.3 - lr * (mom / (1 - b1)) / (math.sqrt(vel / (1 - b2)) + eps)

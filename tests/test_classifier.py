@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from proxyssl import classifier
 from proxyssl.classifier import (
     MlpModel,
     TrainConfig,
@@ -14,7 +15,7 @@ from proxyssl.classifier import (
     loss_and_grads,
     predict,
 )
-from proxyssl.errors import ConfigError, DataError, ShapeError
+from proxyssl.errors import ConfigError, DataError, NumericError, ShapeError
 from proxyssl.numerics import Rng
 
 
@@ -42,33 +43,51 @@ def reference_forward(model, x):
 
 
 def finite_difference_grads(model, x, y, h=1e-5):
-    """Central-difference gradients for every parameter."""
-    grads_w, grads_b = [], []
-    for arr, grads in ((model.weights, grads_w), (model.biases, grads_b)):
-        for param in arr:
-            g = np.zeros_like(param)
-            it = np.nditer(param, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = param[idx]
-                param[idx] = orig + h
-                lp, _ = loss_and_grads(model, x, y)
-                param[idx] = orig - h
-                lm, _ = loss_and_grads(model, x, y)
-                param[idx] = orig
-                g[idx] = (lp - lm) / (2 * h)
-                it.iternext()
-            grads.append(g)
-    return {"w": grads_w, "b": grads_b}
+    """Central-difference gradient for every parameter, in the params layout."""
+    flat = model.params
+    g = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        lp, _ = loss_and_grads(model, x, y)
+        flat[k] = orig - h
+        lm, _ = loss_and_grads(model, x, y)
+        flat[k] = orig
+        g[k] = (lp - lm) / (2 * h)
+    return g
 
 
 def max_rel_error(analytic, numeric, floor=1e-6):
-    worst = 0.0
-    for key in ("w", "b"):
-        for a, n in zip(analytic[key], numeric[key]):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def flat_grad(model, w=(), b=()):
+    """Gradient vector in the params layout from per-layer pieces (rest zero)."""
+    grad = np.zeros_like(model.params)
+    grads_w, grads_b = model.layers(grad)
+    for dst, src in zip(grads_w, w):
+        dst[...] = src
+    for dst, src in zip(grads_b, b):
+        dst[...] = src
+    return grad
+
+
+def reference_adam(weights, biases, moments, grads_w, grads_b, t, cfg):
+    """The per-array Adam loop: every layer's weights, then its biases."""
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for i in range(len(weights)):
+        for param, grad, (mom, vel) in (
+            (weights[i], grads_w[i], moments["w"][i]),
+            (biases[i], grads_b[i], moments["b"][i]),
+        ):
+            mom *= b1
+            mom += (1.0 - b1) * grad
+            vel *= b2
+            vel += (1.0 - b2) * grad * grad
+            param -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
 
 
 def zero_model(input_dim, n_classes, hidden=(4,)):
@@ -104,6 +123,25 @@ class TestInit:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             init_model(4, 1, Rng(0))
+
+    def test_parameters_are_views_of_one_vector(self):
+        m = init_model(5, 3, Rng(8), hidden=(4,))
+        assert m.n_weights == 5 * 4 + 4 * 3
+        assert m.params.size == m.n_weights + 4 + 3
+        assert all(np.shares_memory(p, m.params) for p in m.weights + m.biases)
+        # all weights (row-major, layer order) first, then all biases
+        m.params[:] = np.arange(m.params.size)
+        assert m.weights[0][0, 1] == 1.0
+        assert m.weights[1][0, 0] == 20.0
+        assert m.biases[0][0] == m.n_weights
+        m.biases[1][2] = -1.0
+        assert m.params[-1] == -1.0
+
+    def test_mismatched_parameter_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            MlpModel([3, 2], [np.zeros((2, 3))], [np.zeros(2)])
+        with pytest.raises(ShapeError):
+            MlpModel([3, 4, 2], [np.zeros((3, 4))], [np.zeros(4)])
 
 
 class TestForward:
@@ -157,18 +195,28 @@ class TestLossAndGrads:
         m = init_model(4, 3, Rng(21), hidden=(5,))
         x = Rng(22).uniform(-1, 1, 32).reshape(8, 4)
         y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-        _, grads = loss_and_grads(m, x, y)
+        _, grad = loss_and_grads(m, x, y)
         numeric = finite_difference_grads(m, x, y)
-        assert max_rel_error(grads, numeric) < 1e-4
+        assert grad.shape == m.params.shape
+        assert max_rel_error(grad, numeric) < 1e-4
+
+    def test_gradient_is_fresh_each_call(self):
+        m = init_model(4, 3, Rng(23), hidden=(5,))
+        x = Rng(24).uniform(-1, 1, 32).reshape(8, 4)
+        y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        _, first = loss_and_grads(m, x, y)
+        kept = first.copy()
+        _, second = loss_and_grads(m, x[::-1], y)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, m.params)
+        assert np.array_equal(first, kept)
 
 
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         m = init_model(3, 2, Rng(5), hidden=(4,))
         before = [w.copy() for w in m.weights]
-        grads = {"w": [np.zeros_like(w) for w in m.weights],
-                 "b": [np.zeros_like(b) for b in m.biases]}
-        adam_step(m, grads, TrainConfig())
+        adam_step(m, np.zeros_like(m.params), TrainConfig())
         for w0, w1 in zip(before, m.weights):
             assert np.array_equal(w0, w1)
         assert m.t == 1
@@ -179,8 +227,7 @@ class TestAdam:
         m = zero_model(1, 2, hidden=())
         m.weights[0][0, 0] = 0.5
         g = 1.0
-        grads = {"w": [np.array([[g, 0.0]])], "b": [np.zeros(2)]}
-        adam_step(m, grads, cfg)
+        adam_step(m, flat_grad(m, w=[[[g, 0.0]]]), cfg)
         # hand-executed recurrence, one step
         mom = (1 - b1) * g
         vel = (1 - b2) * g * g
@@ -199,8 +246,7 @@ class TestAdam:
         mom = vel = 0.0
         for t in (1, 2):
             g = 1.0
-            grads = {"w": [np.array([[g, 0.0]])], "b": [np.zeros(2)]}
-            adam_step(m, grads, cfg)
+            adam_step(m, flat_grad(m, w=[[[g, 0.0]]]), cfg)
             mom = b1 * mom + (1 - b1) * g
             vel = b2 * vel + (1 - b2) * g * g
             theta -= lr * (mom / (1 - b1**t)) / (math.sqrt(vel / (1 - b2**t)) + eps)
@@ -209,12 +255,52 @@ class TestAdam:
     def test_identical_models_identical_updates(self):
         cfg = TrainConfig()
         ms = [init_model(3, 2, Rng(6)) for _ in range(2)]
-        grads = {"w": [np.full_like(w, 0.01) for w in ms[0].weights],
-                 "b": [np.full_like(b, 0.01) for b in ms[0].biases]}
+        grad = np.full_like(ms[0].params, 0.01)
         for m in ms:
-            adam_step(m, grads, cfg)
+            adam_step(m, grad, cfg)
         for wa, wb in zip(ms[0].weights, ms[1].weights):
             assert np.array_equal(wa, wb)
+
+    def test_bit_identical_to_per_array_loop(self):
+        cfg = TrainConfig(learning_rate=3e-3)
+        m = init_model(7, 3, Rng(14), hidden=(5, 4))
+        weights = [w.copy() for w in m.weights]
+        biases = [b.copy() for b in m.biases]
+        moments = {key: [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+                   for key, params in (("w", weights), ("b", biases))}
+        draws = Rng(15)
+        for t in range(1, 6):
+            grad = draws.child(t).normal(0.0, 0.5, m.params.size)
+            grads_w, grads_b = m.layers(grad)
+            reference_adam(weights, biases, moments, grads_w, grads_b, t, cfg)
+            adam_step(m, grad, cfg)
+            for got, want in zip(m.weights + m.biases, weights + biases):
+                assert np.array_equal(got, want)
+        moment_w, moment_b = m.layers(m.m)
+        assert all(np.array_equal(got, want) for got, (want, _) in
+                   zip(moment_w + moment_b, moments["w"] + moments["b"]))
+        velocity_w, velocity_b = m.layers(m.v)
+        assert all(np.array_equal(got, want) for got, (_, want) in
+                   zip(velocity_w + velocity_b, moments["w"] + moments["b"]))
+
+    def test_nan_gradient_names_first_weights(self):
+        m = init_model(3, 2, Rng(16), hidden=(4,))
+        grad = np.zeros_like(m.params)
+        grad[0] = np.nan
+        with pytest.raises(NumericError, match=r"weights\[0\] after adam step"):
+            adam_step(m, grad, TrainConfig())
+
+    def test_nan_in_later_layer_named(self):
+        m = init_model(3, 2, Rng(17), hidden=(4,))
+        grads_w = [np.zeros_like(w) for w in m.weights]
+        grads_w[1][2, 1] = np.inf  # inf / inf in the step: NaN, which numpy warns about
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"weights\[1\]"):
+            adam_step(m, flat_grad(m, w=grads_w), TrainConfig())
+
+    def test_wrong_gradient_shape_rejected(self):
+        m = init_model(3, 2, Rng(18), hidden=(4,))
+        with pytest.raises(ShapeError):
+            adam_step(m, np.zeros(m.params.size - 1), TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -284,6 +370,19 @@ class TestFit:
         upticks = [b - a for a, b in zip(losses, losses[1:]) if b > a]
         assert len(upticks) <= 1
         assert all(u < 1e-3 for u in upticks)
+
+    def test_one_loss_and_adam_call_per_batch(self, monkeypatch):
+        calls = {"loss_and_grads": 0, "adam_step": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(classifier, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(classifier, name, counted)
+        x, y = separable_blobs(25, seed=101)  # 50 samples
+        fit(init_model(2, 2, Rng(102)), x, y, x, y,
+            TrainConfig(epochs=3, batch_size=16), Rng(103))
+        batches = 3 * math.ceil(50 / 16)
+        assert calls == {"loss_and_grads": batches, "adam_step": batches}
 
     def test_empty_train_rejected(self):
         m = init_model(2, 2, Rng(1))

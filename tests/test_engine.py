@@ -173,6 +173,42 @@ class TestMajorityVote:
                 want = min(v for v in cands if summed[v] == best)
             assert got[s] == want
 
+    @staticmethod
+    def loop_oracle(preds, probs):
+        """The per-sample loop that majority_vote replaced, kept as its oracle."""
+        p = np.stack(preds)
+        summed = probs[0] + probs[1] + probs[2]
+        out = np.empty(p.shape[1], dtype=np.int64)
+        for s in range(p.shape[1]):
+            a, b, c = p[0, s], p[1, s], p[2, s]
+            if a == b or a == c:
+                out[s] = a
+            elif b == c:
+                out[s] = b
+            else:
+                cands = sorted({a, b, c})
+                out[s] = max(cands, key=lambda lbl: (summed[s, lbl], -lbl))
+        return out
+
+    def test_matches_loop_oracle_randomized(self):
+        rng = Rng(57)
+        for trial in range(200):
+            r = rng.child(trial)
+            n, c = int(r.integers(0, 40)), int(r.integers(3, 7))
+            preds = [r.child(i).integers(0, c, n) for i in range(3)]
+            # force three-way splits on a share of the rows
+            split = r.child(3).uniform(0, 1, n) < 0.4
+            three = r.child(4).permutation(c)[:3]
+            for i in range(3):
+                preds[i][split] = three[i]
+            # coarse probabilities make equal summed scores (ties) common
+            probs = [np.round(r.child(5 + i).uniform(0, 1, (n, c)), 1) for i in range(3)]
+            if trial % 4 == 0:
+                probs = [np.full((n, c), 1.0 / c)] * 3  # every split is a tie
+            got = majority_vote(preds, probs)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self.loop_oracle(preds, probs))
+
     def test_identical_models_equal_single(self):
         rng = Rng(56)
         probs = rng.uniform(0, 1, (20, 4))

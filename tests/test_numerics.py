@@ -39,6 +39,20 @@ class TestRng:
         b = set(Rng(13).child(2).raw64(10_000).tolist())
         assert not (a & b)
 
+    def test_stream_is_philox_under_seed_sequence(self):
+        # the generator is built on first draw; the stream must not depend on when
+        want = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(5, spawn_key=(2, 3)))).uniform(0, 1, 8)
+        stream = Rng(5).child(2).child(3)
+        assert np.array_equal(stream.uniform(0, 1, 4), want[:4])
+        assert np.array_equal(stream.uniform(0, 1, 4), want[4:])
+
+    def test_negative_seed_or_stream_id_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            Rng(-1)
+        with pytest.raises(ValueError):
+            Rng(3).child(-2)
+
     def test_nested_children_differ(self):
         a = Rng(3).child(1).child(2).uniform(0, 1, 5)
         b = Rng(3).child(2).child(1).uniform(0, 1, 5)
