@@ -144,7 +144,7 @@ def cmd_run(args):
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))
-    tables = tables_from_results(results, alpha=spec.alpha)
+    tables = tables_from_results(results)
     written = write_tables(tables, out_dir)
     written += write_series(tables, out_dir)
     ref_path = write_reference_report(tables, spec.reference, out_dir)

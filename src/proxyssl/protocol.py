@@ -80,6 +80,11 @@ class ExperimentGrid:
             raise ConfigError("grid needs at least one dataset")
         if not self.algorithms:
             raise ConfigError("grid needs at least one algorithm")
+        # runs, splits and table cells key on these
+        for what, names in (("dataset names", [ds.name for ds in self.datasets]),
+                            ("row labels", [e.row_label() for e in self.algorithms])):
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{what} must be unique, got {names}")
         if not self.unlabeled_rates:
             raise ConfigError("grid needs at least one unlabeled rate")
         for r in self.unlabeled_rates:
@@ -113,10 +118,9 @@ class RunResult:
 
 
 def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: ExperimentGrid):
-    run_rate = 0.0 if entry.algorithm == "oracle" else rate
-    rate_key = int(round(run_rate * 10**6))
+    rate_key = int(round(rate * 10**6))
     split_rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
-    split = make_semi_split(ds, run_rate, fold, grid.n_folds, split_rng)
+    split = make_semi_split(ds, rate, fold, grid.n_folds, split_rng)
     train_rng = Rng(derive_seed(grid.base_seed, "train", ds.name, rate_key,
                                 entry.algorithm, fold, trial))
     t0 = time.perf_counter()
@@ -127,7 +131,7 @@ def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: Ex
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         dataset=ds.name,
-        rate=run_rate,
+        rate=rate,
         algorithm=entry.algorithm,
         variant=f"{grid.study}/{entry.detail}",
         fold=fold,
@@ -168,10 +172,6 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
     """
     descriptors = enumerate_runs(grid)
 
-    def work_key(ds, rate, entry, fold, trial):
-        return (ds.name, 0.0 if entry.algorithm == "oracle" else rate,
-                entry.algorithm, repr(entry.ssl), fold, trial)
-
     def one(desc):
         ds, rate, entry, fold, trial = desc
         try:
@@ -186,7 +186,8 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
         return res
 
     # dedupe, execute each distinct run once, then relabel per requesting entry
-    keys = [work_key(*desc) for desc in descriptors]
+    keys = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial)
+            for ds, rate, entry, fold, trial in descriptors]
     first = {}
     for key, desc in zip(keys, descriptors):
         first.setdefault(key, desc)

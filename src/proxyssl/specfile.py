@@ -1,35 +1,14 @@
-"""Experiment spec files: flat key-value text with one section per study.
+"""Experiment spec files: INI text with a ``[global]`` section, one
+``[study <name>]`` section per table and an optional ``[reference]`` section
+of expected cell means (``<dataset>@<rate>/<row> = <value>``) that the run
+report compares against without gating anything. README.md shows an example.
 
-Example::
-
-    [global]
-    datasets = data/news.csv, data/sent.csv
-    n_folds = 3
-    n_seeds = 5
-    base_seed = 7
-    epochs = 60
-
-    [study baselines]
-    kind = baselines
-    rates = 0.95, 0.90, 0.80
-    algorithms = supervised, TBST, CBST, TT, TTWD, CT
-
-    [study sampling]
-    kind = sampling
-    rates = 0.90
-    algorithms = TT, TTWD
-    modes = x:norepl, 2x:repl, x:repl, x_half:repl, x_third_disjoint:nointer
-
-Study kinds: ``baselines`` (one row per algorithm), ``sampling`` (rows =
-algorithm x bootstrap mode), ``fresh_model`` (rows = algorithm x fresh/warm),
-``eval_mode`` (rows = algorithm x ensemble/single), ``thresholds`` (TBST
-confidence bands), ``count_windows`` (CBST rank windows) and ``sweep``
-(supervised accuracy vs labeled fraction). Every study implicitly includes
-the Supervised baseline so significance can be marked.
-
-An optional ``[reference]`` section supplies expected cell means
-(``<dataset>@<rate>/<row> = <value>``) that the run report compares against
-without gating anything.
+Every key a section takes is declared once, in ``GLOBAL_KEYS``,
+``STUDY_KEYS`` or ``LIST_KEYS``, with the config field it sets. A key that is
+absent leaves that field's dataclass default in place; a key the section
+does not take is a ConfigError. ``STUDY_KINDS`` gives the rows of each study
+kind. Every study implicitly includes the Supervised baseline so
+significance can be marked.
 """
 
 from __future__ import annotations
@@ -37,16 +16,13 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classifier import TrainConfig
 from .dataset import SamplingStrategy, load_csv
-from .engine import SslConfig
+from .engine import ALGORITHMS, SslConfig
 from .errors import ConfigError
 from .protocol import AlgorithmEntry, ExperimentGrid
-
-STUDY_KINDS = ("baselines", "sampling", "fresh_model", "eval_mode",
-               "thresholds", "count_windows", "sweep")
-SSL_NAMES = ("TBST", "CBST", "CT", "TT", "TTWD")
 
 _MODE_TOKENS = {"repl": True, "norepl": False, "nointer": False}
 
@@ -56,7 +32,6 @@ class ExperimentSpec:
     dataset_paths: list[str]
     grids: list[ExperimentGrid]
     out_dir: str | None = None
-    alpha: float = 0.10
     reference: dict = field(default_factory=dict)  # (dataset, rate, row) -> value
 
 
@@ -64,11 +39,15 @@ def _split_list(raw):
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-def _floats(raw, what):
-    try:
-        return [float(v) for v in _split_list(raw)]
-    except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, got {raw!r}")
+def _floats(raw):
+    return [float(v) for v in _split_list(raw)]
+
+
+def _bool(raw):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return states[raw.lower()]
 
 
 def parse_sampling_mode(token):
@@ -81,76 +60,134 @@ def parse_sampling_mode(token):
     return SamplingStrategy(size_mode=size.strip(), with_replacement=_MODE_TOKENS[repl])
 
 
-def _base_ssl(sec, algorithm, **overrides):
-    kwargs = dict(
-        algorithm=algorithm,
-        tau1=sec.getfloat("tau1", 0.9),
-        tau2=sec.getfloat("tau2", 1.0),
-        count_lo=sec.getint("count_lo", 0),
-        count_hi=sec.getint("count_hi", 100),
-        max_iterations=sec.getint("max_iterations", 20),
-        fresh_model_each_iteration=sec.getboolean("fresh_model", False),
-        sampling=parse_sampling_mode(sec.get("sampling", "x:norepl")),
-        eval_mode=sec.get("eval", "ensemble"),
-    )
-    kwargs.update(overrides)
-    return SslConfig(**kwargs)
+def _pairs(raw, cast):
+    pairs = [item.split(":") for item in _split_list(raw)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"expected comma-separated lo:hi pairs, got {raw!r}")
+    return [(cast(lo), cast(hi)) for lo, hi in pairs]
 
 
-def _study_entries(kind, sec, algorithms):
-    """AlgorithmEntry rows for one study section."""
+def _rates_from_fractions(raw):
+    fractions = _floats(raw)
+    if not all(0.0 < f <= 1.0 for f in fractions):
+        raise ValueError(f"labeled fractions must lie in (0, 1], got {raw!r}")
+    return [round(1.0 - f, 9) for f in fractions]
+
+
+# spec key -> (what it sets, field name, parser). "spec" sets ExperimentSpec,
+# "train" TrainConfig, "grid" ExperimentGrid, "ssl" SslConfig; "study" values
+# pick a study's rows.
+GLOBAL_KEYS = {
+    "datasets": ("spec", "dataset_paths", _split_list),
+    "out_dir": ("spec", "out_dir", str),
+    "learning_rate": ("train", "learning_rate", float),
+    "batch_size": ("train", "batch_size", int),
+    "epochs": ("train", "epochs", int),
+    "n_folds": ("grid", "n_folds", int),
+    "n_seeds": ("grid", "n_seeds", int),
+    "base_seed": ("grid", "base_seed", int),
+}
+STUDY_KEYS = {
+    "kind": ("study", "kind", str),
+    "algorithms": ("study", "algorithms", _split_list),
+    "rates": ("grid", "unlabeled_rates", _floats),
+    "include_oracle": ("grid", "include_oracle", _bool),
+    "tau1": ("ssl", "tau1", float),
+    "tau2": ("ssl", "tau2", float),
+    "count_lo": ("ssl", "count_lo", int),
+    "count_hi": ("ssl", "count_hi", int),
+    "max_iterations": ("ssl", "max_iterations", int),
+    "fresh_model": ("ssl", "fresh_model_each_iteration", _bool),
+    "sampling": ("ssl", "sampling", parse_sampling_mode),
+    "eval": ("ssl", "eval_mode", str),
+}
+# the one list key of a study kind; "study" "rows" are (detail, SslConfig overrides)
+LIST_KEYS = {
+    "modes": ("study", "rows", lambda raw: [(mode.label(), {"sampling": mode})
+                                            for mode in map(parse_sampling_mode, _split_list(raw))]),
+    "pairs": ("study", "rows", lambda raw: [(f"t{t1:g}-{t2:g}", {"tau1": t1, "tau2": t2})
+                                            for t1, t2 in _pairs(raw, float)]),
+    "windows": ("study", "rows", lambda raw: [(f"c{lo}-{hi}", {"count_lo": lo, "count_hi": hi})
+                                              for lo, hi in _pairs(raw, int)]),
+    "fractions": ("grid", "unlabeled_rates", _rates_from_fractions),
+}
+
+
+class StudyKind(NamedTuple):
+    algorithms: tuple  # the SSL algorithms it runs; "supervised" is always accepted
+    list_key: str | None = None  # its key in LIST_KEYS, read as list_default when absent
+    list_default: str = ""
+    rows: tuple = (("std", {}),)  # (detail, SslConfig overrides) when it has no list key
+    oracle: bool = False  # whether the Oracle row runs when include_oracle is absent
+
+
+STUDY_KINDS = {
+    "baselines": StudyKind(ALGORITHMS, oracle=True),
+    "sampling": StudyKind(("TT", "TTWD"), "modes",
+                          "x:norepl, 2x:repl, x:repl, x_half:repl, x_third_disjoint:nointer"),
+    "fresh_model": StudyKind(ALGORITHMS, rows=(("fresh", {"fresh_model_each_iteration": True}),
+                                               ("warm", {"fresh_model_each_iteration": False}))),
+    "eval_mode": StudyKind(("TT", "TTWD", "CT"), rows=(("ensemble", {"eval_mode": "ensemble"}),
+                                                       ("single", {"eval_mode": "best_single"}))),
+    "thresholds": StudyKind(("TBST",), "pairs", "0.7:1.0, 0.8:1.0, 0.9:1.0, 0.7:0.9, 0.7:0.8, 0.8:0.9"),
+    "count_windows": StudyKind(("CBST",), "windows", "0:300, 0:200, 0:100, 100:200, 100:300, 200:300"),
+    "sweep": StudyKind((), "fractions", "0.05, 0.10, 0.20, 1.0"),
+}
+
+
+def _read(items, keys):
+    """Parse ``items`` (key -> raw text) by ``keys`` into {target: {field: value}}."""
+    out = {"spec": {}, "train": {}, "grid": {}, "study": {}, "ssl": {}}
+    for key, raw in items.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}; this section takes {', '.join(keys)}")
+        target, name, parse = keys[key]
+        try:
+            out[target][name] = parse(raw)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return out
+
+
+def _study_keys(kind):
+    """The keys a study of ``kind`` takes: its list key, and every study key
+    whose field neither that list key nor the kind's rows set; SSL keys only
+    when it runs an SSL algorithm."""
+    own, rows = {}, kind.rows
+    if kind.list_key:
+        own = {kind.list_key: LIST_KEYS[kind.list_key]}
+        rows = _read({kind.list_key: kind.list_default}, own)["study"].get("rows", rows)
+    taken = {spec[:2] for spec in own.values()} | {("ssl", f) for _, o in rows for f in o}
+    return {**{key: spec for key, spec in STUDY_KEYS.items()
+               if spec[:2] not in taken and (kind.algorithms or spec[0] != "ssl")}, **own}
+
+
+def _study_grid(study_name, items, datasets, common, train):
+    """One ExperimentGrid: Supervised, then each algorithm's rows in turn."""
+    kind_name = items.get("kind", "baselines")
+    if kind_name not in STUDY_KINDS:
+        raise ConfigError(f"kind: unknown study kind {kind_name!r}, "
+                          f"expected one of {', '.join(STUDY_KINDS)}")
+    kind = STUDY_KINDS[kind_name]
+    if kind.list_key:
+        items = {kind.list_key: kind.list_default, **items}
+    values = _read(items, _study_keys(kind))
+    study = values["study"]
+    names = study.get("algorithms", list(kind.algorithms) if len(kind.algorithms) == 1 else [])
+    if not names and kind.algorithms:
+        raise ConfigError("algorithms: empty algorithm list")
     entries = [AlgorithmEntry("supervised")]
-    if kind == "baselines":
-        for name in algorithms:
-            if name == "supervised":
-                continue
-            entries.append(AlgorithmEntry(name, _base_ssl(sec, name)))
-    elif kind == "sampling":
-        modes = _split_list(sec.get("modes", "x:norepl, 2x:repl, x:repl, x_half:repl, x_third_disjoint:nointer"))
-        for name in algorithms:
-            if name not in ("TT", "TTWD"):
-                raise ConfigError(f"sampling study supports TT/TTWD, got {name!r}")
-            for mode in modes:
-                strat = parse_sampling_mode(mode)
-                entries.append(AlgorithmEntry(name, _base_ssl(sec, name, sampling=strat),
-                                              detail=strat.label()))
-    elif kind == "fresh_model":
-        for name in algorithms:
-            if name == "supervised":
-                continue
-            for fresh, detail in ((True, "fresh"), (False, "warm")):
-                entries.append(AlgorithmEntry(
-                    name, _base_ssl(sec, name, fresh_model_each_iteration=fresh), detail=detail))
-    elif kind == "eval_mode":
-        for name in algorithms:
-            if name not in ("TT", "TTWD", "CT"):
-                raise ConfigError(f"eval_mode study supports TT/TTWD/CT, got {name!r}")
-            for mode, detail in (("ensemble", "ensemble"), ("best_single", "single")):
-                entries.append(AlgorithmEntry(name, _base_ssl(sec, name, eval_mode=mode),
-                                              detail=detail))
-    elif kind == "thresholds":
-        pairs = _split_list(sec.get("pairs", "0.7:1.0, 0.8:1.0, 0.9:1.0, 0.7:0.9, 0.7:0.8, 0.8:0.9"))
-        for pair in pairs:
-            try:
-                t1, t2 = (float(v) for v in pair.split(":"))
-            except ValueError:
-                raise ConfigError(f"threshold pair {pair!r} must look like '0.7:0.9'")
-            entries.append(AlgorithmEntry("TBST", _base_ssl(sec, "TBST", tau1=t1, tau2=t2),
-                                          detail=f"t{t1:g}-{t2:g}"))
-    elif kind == "count_windows":
-        windows = _split_list(sec.get("windows", "0:300, 0:200, 0:100, 100:200, 100:300, 200:300"))
-        for window in windows:
-            try:
-                lo, hi = (int(v) for v in window.split(":"))
-            except ValueError:
-                raise ConfigError(f"count window {window!r} must look like '100:300'")
-            entries.append(AlgorithmEntry("CBST", _base_ssl(sec, "CBST", count_lo=lo, count_hi=hi),
-                                          detail=f"c{lo}-{hi}"))
-    elif kind == "sweep":
-        pass  # supervised only; rates derive from the fractions
-    else:
-        raise ConfigError(f"unknown study kind {kind!r}, expected one of {STUDY_KINDS}")
-    return entries
+    for name in names:
+        if name == "supervised":
+            continue
+        if name not in kind.algorithms:
+            raise ConfigError(f"algorithms: a {kind_name} study runs "
+                              f"{', '.join(kind.algorithms) or 'only supervised'}, got {name!r}")
+        for detail, overrides in study.get("rows", kind.rows):
+            ssl = SslConfig(name, **{**values["ssl"], **overrides})
+            entries.append(AlgorithmEntry(name, ssl, detail=detail))
+    return ExperimentGrid(datasets=datasets, algorithms=entries, train=train, study=study_name,
+                          **{"include_oracle": kind.oracle, **common, **values["grid"]})
 
 
 def parse_spec(path):
@@ -161,16 +198,18 @@ def parse_spec(path):
     """
     if not os.path.exists(path):
         raise ConfigError(f"spec file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are literal text
     cp.optionxform = str  # keep key case for dataset names in [reference]
     try:
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
-    if "global" not in cp:
-        raise ConfigError(f"{path}: missing [global] section")
-    g = cp["global"]
-    paths = _split_list(g.get("datasets", ""))
+    try:
+        g = _read(cp["global"] if "global" in cp else {}, GLOBAL_KEYS)
+        train = TrainConfig(**g["train"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: [global] {exc}") from None
+    paths = g["spec"].get("dataset_paths")
     if not paths:
         raise ConfigError(f"{path}: [global] datasets must list at least one file")
     missing = [p for p in paths if not os.path.exists(p)]
@@ -178,52 +217,17 @@ def parse_spec(path):
         raise ConfigError(f"{path}: dataset file not found: {missing[0]}")
     datasets = [load_csv(p) for p in paths]
 
-    train = TrainConfig(
-        learning_rate=g.getfloat("learning_rate", 1e-3),
-        batch_size=g.getint("batch_size", 32),
-        epochs=g.getint("epochs", 100),
-    )
-    n_folds = g.getint("n_folds", 3)
-    n_seeds = g.getint("n_seeds", 5)
-    base_seed = g.getint("base_seed", 0)
-    alpha = g.getfloat("alpha", 0.10)
-
     grids = []
     for section in cp.sections():
-        if not section.startswith("study "):
-            continue
-        name = section.split(" ", 1)[1].strip()
-        sec = cp[section]
-        kind = sec.get("kind", "baselines")
-        if kind == "sweep":
-            fractions = _floats(sec.get("fractions", "0.05, 0.10, 0.20, 1.0"), f"[{section}] fractions")
-            for f in fractions:
-                if not 0.0 < f <= 1.0:
-                    raise ConfigError(f"[{section}]: labeled fraction must lie in (0, 1], got {f}")
-            rates = [round(1.0 - f, 9) for f in fractions]
-            entries = [AlgorithmEntry("supervised")]
-            include_oracle = sec.getboolean("include_oracle", False)
-        else:
-            algorithms = _split_list(sec.get("algorithms", ""))
-            for a in algorithms:
-                if a not in SSL_NAMES + ("supervised",):
-                    raise ConfigError(f"[{section}]: unknown algorithm {a!r}")
-            if not algorithms:
-                raise ConfigError(f"[{section}]: empty algorithm list")
-            rates = _floats(sec.get("rates", "0.95, 0.90, 0.80"), f"[{section}] rates")
-            entries = _study_entries(kind, sec, algorithms)
-            include_oracle = sec.getboolean("include_oracle", kind == "baselines")
-        grids.append(ExperimentGrid(
-            datasets=datasets,
-            algorithms=entries,
-            unlabeled_rates=rates,
-            n_folds=n_folds,
-            n_seeds=n_seeds,
-            base_seed=base_seed,
-            train=train,
-            study=name,
-            include_oracle=include_oracle,
-        ))
+        if section.startswith("study "):
+            try:
+                grids.append(_study_grid(section.split(" ", 1)[1].strip(), cp[section],
+                                         datasets, g["grid"], train))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: [{section}] {exc}") from None
+        elif section not in ("global", "reference"):
+            raise ConfigError(f"{path}: unknown section [{section}], expected [global], "
+                              f"[study <name>] or [reference]")
     if not grids:
         raise ConfigError(f"{path}: no [study ...] sections")
 
@@ -237,10 +241,4 @@ def parse_spec(path):
             except ValueError:
                 raise ConfigError(f"{path}: [reference] key {key!r} must look like 'news@0.90/TTWD'")
 
-    return ExperimentSpec(
-        dataset_paths=paths,
-        grids=grids,
-        out_dir=g.get("out_dir", None),
-        alpha=alpha,
-        reference=reference,
-    )
+    return ExperimentSpec(grids=grids, reference=reference, **g["spec"])

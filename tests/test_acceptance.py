@@ -297,9 +297,9 @@ def test_full_grid_determinism(synth_dataset, tmp_path):
         "[global]\n"
         f"datasets = {data}\n"
         "n_folds = 3\nn_seeds = 2\nbase_seed = 11\n"
-        "epochs = 4\nbatch_size = 32\nmax_iterations = 2\n"
+        "epochs = 4\nbatch_size = 32\n"
         "[study full]\n"
-        "rates = 0.9\n"
+        "rates = 0.9\nmax_iterations = 2\n"
         "algorithms = supervised, TBST, CBST, TT, TTWD, CT\n"
         "include_oracle = true\n",
         encoding="utf-8")
@@ -332,9 +332,9 @@ def test_replication_harness_structure(tmp_path):
         "[global]\n"
         f"datasets = {', '.join(paths)}\n"
         "n_folds = 3\nn_seeds = 5\nbase_seed = 3\n"
-        "epochs = 1\nbatch_size = 32\nmax_iterations = 1\n"
+        "epochs = 1\nbatch_size = 32\n"
         "[study repl]\n"
-        "rates = 0.95, 0.90, 0.80\n"
+        "rates = 0.95, 0.90, 0.80\nmax_iterations = 1\n"
         "algorithms = supervised, TBST, CBST, TT, TTWD, CT\n"
         "include_oracle = true\n"
         "[reference]\n"

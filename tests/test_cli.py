@@ -117,6 +117,27 @@ class TestSpecParsing:
         parsed = parse_spec(spec)
         assert parsed.reference == {("mini", 0.9, "Supervised"): 88.5}
 
+    def test_one_algorithm_kinds_default_their_algorithm(self, tmp_path, data_file):
+        # the README's thresholds and count_windows sections name no algorithms
+        spec = write_spec(tmp_path, data_file,
+                          "[study thresholds]\nkind = thresholds\nrates = 0.90\n"
+                          "pairs = 0.7:1.0, 0.8:1.0, 0.9:1.0, 0.7:0.9, 0.7:0.8, 0.8:0.9\n"
+                          "[study counts]\nkind = count_windows\nrates = 0.90\n"
+                          "windows = 0:300, 0:200, 0:100, 100:200, 100:300, 200:300\n")
+        thresholds, counts = parse_spec(spec).grids
+        assert [e.row_label() for e in thresholds.algorithms] == [
+            "Supervised", "TBST t0.7-1", "TBST t0.8-1", "TBST t0.9-1",
+            "TBST t0.7-0.9", "TBST t0.7-0.8", "TBST t0.8-0.9"]
+        assert [e.row_label() for e in counts.algorithms] == [
+            "Supervised", "CBST c0-300", "CBST c0-200", "CBST c0-100",
+            "CBST c100-200", "CBST c100-300", "CBST c200-300"]
+        assert not thresholds.include_oracle and not counts.include_oracle
+
+    def test_values_are_literal(self, tmp_path, data_file):
+        spec = write_spec(tmp_path, data_file,
+                          "out_dir = results%1\n[study s]\nalgorithms = supervised\n")
+        assert parse_spec(spec).out_dir == "results%1"
+
     def test_mode_token_errors(self):
         with pytest.raises(ConfigError):
             parse_sampling_mode("x")
@@ -128,9 +149,9 @@ class TestRunAndReport:
     def run_spec(self, tmp_path, data_file, out_name="out"):
         spec = write_spec(
             tmp_path, data_file,
-            "max_iterations = 1\n"
             "[study base]\n"
             "rates = 0.9, 0.8\n"
+            "max_iterations = 1\n"
             "algorithms = supervised, TBST, TT\n"
             "[reference]\n"
             "mini@0.9/Supervised = 90.0\n",
@@ -201,6 +222,57 @@ class TestRunAndReport:
         assert main(["run", str(spec), "--out", str(out)]) == 1
         assert "must not contain" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("global_extra, body, section, key", [
+        ("", "[study s]\nalgorithms = supervised\n[bogus]\nfoo = 1\n", "[bogus]", "bogus"),
+        ("", "[study s]\nalgorithms = supervised\nfrobnicate = 1\n", "[study s]", "frobnicate"),
+        ("max_iterations = 1\n", "[study s]\nalgorithms = supervised, TBST\n",
+         "[global]", "max_iterations"),
+        ("", "[DEFAULT]\nmax_iterations = 1\n[study s]\nalgorithms = supervised, TBST\n",
+         "[global]", "max_iterations"),
+        ("", "[study t]\nkind = thresholds\ntau1 = 0.5\n", "[study t]", "tau1"),
+        ("", "[study t]\nkind = thresholds\nalgorithms = CT\n", "[study t]", "algorithms"),
+        ("epochs = abc\n", "[study s]\nalgorithms = supervised\n", "[global]", "epochs"),
+        ("alpha = 0.05\n", "[study s]\nalgorithms = supervised\n", "[global]", "alpha"),
+        ("", "[study sw]\nkind = sweep\nrates = 0.5\n", "[study sw]", "rates"),
+        ("", "[study s]\nalgorithms = supervised\ninclude_oracle = maybe\n",
+         "[study s]", "include_oracle"),
+        ("", "[study s]\nalgorithms = supervised, TBST, TBST\n", "[study s]", "TBST"),
+    ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
+            "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
+            "bad-boolean", "repeated-algorithm"])
+    def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
+                                                       monkeypatch, global_extra, body,
+                                                       section, key):
+        spec = tmp_path / "bad.ini"
+        spec.write_text(f"[global]\ndatasets = {data_file}\nn_folds = 3\nn_seeds = 1\n"
+                        + global_extra + body, encoding="utf-8")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_grid reached")
+
+        monkeypatch.setattr("proxyssl.cli.run_grid", no_training)
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and section in err and key in err, err
+
+    def test_duplicate_dataset_names_exit_2_before_training(self, tmp_path, capsys,
+                                                            monkeypatch):
+        paths = []
+        for i in range(2):
+            ds = make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=i)
+            paths.append(tmp_path / f"a{i}.csv")
+            save_csv(ds, paths[-1])
+        spec = tmp_path / "dup.ini"
+        spec.write_text(f"[global]\ndatasets = {paths[0]}, {paths[1]}\n"
+                        "[study s]\nrates = 0.5\nalgorithms = supervised\n", encoding="utf-8")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_grid reached")
+
+        monkeypatch.setattr("proxyssl.cli.run_grid", no_training)
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert "unique" in capsys.readouterr().err
 
     def test_corrupt_log_exit_1(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
