@@ -29,12 +29,7 @@ DEFAULT_HIDDEN = (16, 16)
 
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule knobs for one fit call.
-
-    score_on_validation switches the per-epoch accuracy trace from the test
-    set to a carved-out fraction of the training data, for callers who do
-    not want model selection to peek at test labels.
-    """
+    """Optimizer and schedule knobs for one fit call."""
 
     learning_rate: float = 1e-3
     batch_size: int = 32
@@ -42,8 +37,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    score_on_validation: bool = False
-    validation_fraction: float = 0.2
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -56,10 +49,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.score_on_validation and not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError(
-                f"validation_fraction must lie in (0,1), got {self.validation_fraction}"
-            )
 
 
 class MlpModel:
@@ -266,15 +255,6 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
         raise ValueError("fit needs a nonempty training set")
     if len(test_y) == 0:
         raise ValueError("fit needs a nonempty test set")
-    score_x, score_y = test_x, test_y
-    if cfg.score_on_validation:
-        n_val = max(1, int(round(cfg.validation_fraction * n)))
-        if n_val >= n:
-            raise ValueError(f"validation carve leaves no training data (n={n})")
-        carve = rng.permutation(n)
-        score_x, score_y = train_x[carve[:n_val]], train_y[carve[:n_val]]
-        train_x, train_y = train_x[carve[n_val:]], train_y[carve[n_val:]]
-        n = n - n_val
     # batches are gathered one at a time: a shuffled copy of the whole set
     # per epoch made fit about 20% slower at 768 columns
     trace = []
@@ -284,5 +264,5 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
             idx = order[start : start + cfg.batch_size]
             _, grad = loss_and_grads(m, train_x[idx], train_y[idx])
             adam_step(m, grad, cfg)
-        trace.append(accuracy(m, score_x, score_y))
+        trace.append(accuracy(m, test_x, test_y))
     return RunRecord(trace, max(trace))

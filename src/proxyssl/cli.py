@@ -135,18 +135,20 @@ def write_reference_report(tables, reference, out_dir):
     return path
 
 
+def write_report(results, out_dir, alpha=0.10):
+    """Tables and series of ``results``; ``run`` and ``report`` both write through here."""
+    tables = tables_from_results(results, alpha=alpha)
+    return tables, write_tables(tables, out_dir) + write_series(tables, out_dir)
+
+
 def cmd_run(args):
     spec = parse_spec(args.spec)
     out_dir = _resolve_out(args.out, spec.out_dir)
-    results = []
-    for grid in spec.grids:
-        results.extend(run_grid(grid, jobs=args.jobs))
+    results = run_grid(spec.grids, jobs=args.jobs)
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))
-    tables = tables_from_results(results)
-    written = write_tables(tables, out_dir)
-    written += write_series(tables, out_dir)
+    tables, written = write_report(results, out_dir)
     ref_path = write_reference_report(tables, spec.reference, out_dir)
     print(f"wrote {log_path} ({len(results)} runs)")
     for path in written:
@@ -160,9 +162,7 @@ def cmd_report(args):
     with open(args.log, "r", encoding="utf-8") as fh:
         results = parse_log(fh.read(), source=args.log)
     out_dir = _resolve_out(args.out)
-    tables = tables_from_results(results, alpha=args.alpha)
-    written = write_tables(tables, out_dir)
-    written += write_series(tables, out_dir)
+    _, written = write_report(results, out_dir, alpha=args.alpha)
     for path in written:
         print(f"wrote {path}")
     return 0

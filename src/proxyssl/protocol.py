@@ -163,17 +163,25 @@ def enumerate_runs(grid: ExperimentGrid):
     return runs
 
 
-def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
-    """Execute every run of the grid; results come back in canonical order.
+def run_grid(grids, jobs=1, progress=None):
+    """Execute every run of a spec's grids; results come back in canonical order.
 
-    Identical work requested twice (same dataset, rate, algorithm, config,
-    fold, trial) executes once and is re-labeled per requesting entry. Any
-    run failure aborts with a diagnostic naming the cell.
+    Identical work requested twice, by one grid or by two (same dataset, rate,
+    algorithm, config, fold, trial, training config, folds and base seed),
+    executes once and is re-labeled ``<study>/<detail>`` per requesting row.
+    Its seeds never involve the study, so a shared run is bit-identical to one
+    executed twice. Any run failure aborts with a diagnostic naming the cell.
     """
-    descriptors = enumerate_runs(grid)
+    named = {}
+    for grid in grids:
+        for ds in grid.datasets:
+            if named.setdefault(ds.name, ds) is not ds:
+                raise ConfigError(f"two different datasets are named {ds.name!r}; "
+                                  f"runs and tables key on the name")
+    descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
 
     def one(desc):
-        ds, rate, entry, fold, trial = desc
+        grid, ds, rate, entry, fold, trial = desc
         try:
             res = _execute_run(ds, rate, entry, fold, trial, grid)
         except Exception as exc:
@@ -186,8 +194,9 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
         return res
 
     # dedupe, execute each distinct run once, then relabel per requesting entry
-    keys = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial)
-            for ds, rate, entry, fold, trial in descriptors]
+    keys = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
+             repr(grid.train), grid.n_folds, grid.base_seed)
+            for grid, ds, rate, entry, fold, trial in descriptors]
     first = {}
     for key, desc in zip(keys, descriptors):
         first.setdefault(key, desc)
@@ -198,7 +207,7 @@ def run_grid(grid: ExperimentGrid, jobs=1, progress=None):
             executed = list(pool.map(one, first.values()))
     by_key = dict(zip(first, executed))
     return [replace(by_key[key], variant=f"{grid.study}/{entry.detail}")
-            for key, (_, _, entry, _, _) in zip(keys, descriptors)]
+            for key, (grid, _, _, entry, _, _) in zip(keys, descriptors)]
 
 
 def format_log(results):

@@ -63,7 +63,7 @@ def trend_results(synth_dataset):
         train=TrainConfig(epochs=60, batch_size=32),
         study="trend", include_oracle=True)
     t0 = time.monotonic()
-    results = run_grid(grid)
+    results = run_grid([grid])
     return results, time.monotonic() - t0
 
 
@@ -79,7 +79,7 @@ def bench_results(synth_dataset):
         train=TrainConfig(epochs=60, batch_size=32),
         study="bench", include_oracle=False)
     t0 = time.monotonic()
-    results = run_grid(grid)
+    results = run_grid([grid])
     return results, time.monotonic() - t0
 
 

@@ -390,35 +390,6 @@ class TestFit:
             fit(m, np.zeros((0, 2)), np.zeros(0, dtype=int), np.ones((1, 2)),
                 np.zeros(1, dtype=int), TrainConfig(epochs=1), Rng(2))
 
-    def test_validation_mode_carves_training_data(self):
-        x, y = separable_blobs(50, seed=91)  # 100 samples
-        cfg = TrainConfig(epochs=1, batch_size=32, score_on_validation=True,
-                          validation_fraction=0.2)
-        m = init_model(2, 2, Rng(92))
-        fit(m, x, y, x, y, cfg, Rng(93))
-        # 20 carved off: 80 training samples -> 3 batches, not 4
-        assert m.t == 3
-
-    def test_validation_mode_scores_carved_set(self):
-        x, y = separable_blobs(50, seed=94)
-        # a test set the model cannot get right: labels flipped
-        cfg = TrainConfig(epochs=6, batch_size=16, score_on_validation=True)
-        m = init_model(2, 2, Rng(95))
-        rec = fit(m, x, y, x, 1 - y, cfg, Rng(96))
-        # the flipped test labels never enter scoring, the carved split does
-        assert rec.max_test_accuracy > 0.5
-
-    def test_validation_mode_deterministic(self):
-        x, y = separable_blobs(40, seed=97)
-        cfg = TrainConfig(epochs=3, score_on_validation=True)
-        recs = [fit(init_model(2, 2, Rng(98)), x, y, x, y, cfg, Rng(99))
-                for _ in range(2)]
-        assert recs[0].epoch_test_accuracy == recs[1].epoch_test_accuracy
-
-    def test_validation_fraction_validated(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(score_on_validation=True, validation_fraction=1.0)
-
 
 class TestPredict:
     def test_argmax_and_confidence(self):

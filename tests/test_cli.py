@@ -1,11 +1,13 @@
 import os
+import random
 
 import pytest
 
+from proxyssl import protocol
 from proxyssl.cli import main
 from proxyssl.dataset import save_csv, write_manifest
 from proxyssl.errors import ConfigError
-from proxyssl.specfile import parse_sampling_mode, parse_spec
+from proxyssl.specfile import STUDY_KINDS, parse_sampling_mode, parse_spec
 from proxyssl.synthetic import make_blobs
 
 
@@ -203,6 +205,63 @@ class TestRunAndReport:
                (out_a / "table_a_rate0.9.txt").read_bytes()
         assert (rep / "table_b_rate0.8.txt").read_bytes() == \
                (out_b / "table_b_rate0.8.txt").read_bytes()
+
+    def test_spec_executes_each_distinct_run_once(self, tmp_path, data_file, monkeypatch):
+        # Supervised is in every study; TT x+norepl and TBST warm repeat baselines rows
+        spec = write_spec(tmp_path, data_file,
+                          "[study base]\nrates = 0.9\nmax_iterations = 1\nalgorithms = TBST, TT\n"
+                          "[study samp]\nkind = sampling\nrates = 0.9\nmax_iterations = 1\n"
+                          "algorithms = TT\nmodes = x:norepl, 2x:repl\n"
+                          "[study fresh]\nkind = fresh_model\nrates = 0.9\nmax_iterations = 1\n"
+                          "algorithms = TBST\n")
+        executed = []
+        execute = protocol._execute_run
+
+        def counted(*args):
+            executed.append(args)
+            return execute(*args)
+
+        monkeypatch.setattr(protocol, "_execute_run", counted)
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        requested = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial)
+                     for grid in parse_spec(spec).grids
+                     for ds, rate, entry, fold, trial in protocol.enumerate_runs(grid)]
+        assert len(executed) == len(set(requested)) < len(requested)
+        assert len((out / "run_log.csv").read_text().splitlines()) == len(requested)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_report_reproduces_run_of_generated_spec(self, tmp_path, seed):
+        rng = random.Random(seed)
+        paths = []
+        for k in range(rng.randint(1, 2)):
+            ds = make_blobs(f"d{k}", n=90, d=4, n_classes=rng.randint(2, 3), separation=2.0,
+                            seed=100 * seed + k)
+            paths.append(tmp_path / f"d{k}.csv")
+            save_csv(ds, paths[-1])
+        lines = ["[global]", f"datasets = {', '.join(map(str, paths))}", "n_folds = 2",
+                 "n_seeds = 1", f"base_seed = {seed}", "epochs = 1", "batch_size = 16"]
+        for i, kind_name in enumerate(rng.sample(sorted(STUDY_KINDS), rng.randint(1, 3))):
+            lines += [f"[study s{i}]", f"kind = {kind_name}"]
+            algorithms = STUDY_KINDS[kind_name].algorithms
+            if not algorithms:
+                fractions = rng.sample([0.2, 0.5, 1.0], rng.randint(1, 3))
+                lines.append(f"fractions = {', '.join(map(str, fractions))}")
+                continue
+            rates = rng.sample([0.0, 0.5, 0.7, 0.8], rng.randint(1, 2))
+            picked = rng.sample(algorithms, rng.randint(1, min(2, len(algorithms))))
+            lines += [f"rates = {', '.join(map(str, rates))}", "max_iterations = 1",
+                      f"include_oracle = {rng.choice(['true', 'false'])}",
+                      f"algorithms = {', '.join(picked)}"]
+        spec = tmp_path / "gen.ini"
+        spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, rep = tmp_path / "out", tmp_path / "rep"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        assert main(["report", str(out / "run_log.csv"), "--out", str(rep)]) == 0
+        rendered = sorted(p.name for p in out.iterdir() if p.name.startswith(("table_", "series_")))
+        assert rendered and rendered == sorted(p.name for p in rep.iterdir())
+        for name in rendered:
+            assert (rep / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_invalid_spec_exit_2(self, tmp_path, data_file, capsys):
         spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms =\n")

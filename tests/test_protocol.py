@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,14 +54,14 @@ class TestDeriveSeed:
 
 class TestRunGrid:
     def test_fifteen_runs_per_cell(self):
-        results = run_grid(small_grid(include_oracle=False))
+        results = run_grid([small_grid(include_oracle=False)])
         assert len(results) == 15
         pairs = [(r.fold, r.trial) for r in results]
         assert pairs == [(f, t) for f in range(3) for t in range(5)]
 
     def test_two_rates_give_two_supervised_blocks(self):
         grid = small_grid(rates=(0.0, 0.9), include_oracle=False)
-        results = run_grid(grid)
+        results = run_grid([grid])
         tables = tables_from_results(results)
         assert len(tables) == 2
         assert {t.rate for t in tables} == {0.0, 0.9}
@@ -67,19 +69,19 @@ class TestRunGrid:
 
     def test_rerun_identical(self):
         grid = small_grid(include_oracle=False)
-        a = run_grid(grid)
-        b = run_grid(grid)
+        a = run_grid([grid])
+        b = run_grid([grid])
         assert [r.max_test_acc for r in a] == [r.max_test_acc for r in b]
 
     def test_jobs_parallel_matches_serial(self):
         grid = small_grid(include_oracle=False, n_seeds=2)
-        serial = run_grid(grid, jobs=1)
-        parallel = run_grid(grid, jobs=4)
+        serial = run_grid([grid], jobs=1)
+        parallel = run_grid([grid], jobs=4)
         assert [r.max_test_acc for r in serial] == [r.max_test_acc for r in parallel]
 
     def test_oracle_equals_rate_zero_supervised(self):
         grid = small_grid(include_oracle=True)
-        results = run_grid(grid)
+        results = run_grid([grid])
         oracle = [r for r in results if r.algorithm == "oracle"]
         assert all(r.rate == 0.0 for r in oracle)
         ds = grid.datasets[0]
@@ -96,7 +98,7 @@ class TestRunGrid:
                         AlgorithmEntry("TBST", ssl, detail="one"),
                         AlgorithmEntry("TBST", ssl, detail="two")],
             include_oracle=False, n_seeds=1)
-        results = run_grid(grid)
+        results = run_grid([grid])
         one = [r.max_test_acc for r in results if r.detail == "one"]
         two = [r.max_test_acc for r in results if r.detail == "two"]
         assert one == two
@@ -112,7 +114,38 @@ class TestRunGrid:
             unlabeled_rates=[0.5],
             n_folds=3, n_seeds=1, base_seed=1, train=FAST, include_oracle=False)
         with pytest.raises(ProtocolError, match="dataset=tiny"):
-            run_grid(grid)
+            run_grid([grid])
+
+    def test_grids_share_runs_only_under_equal_training(self):
+        ds = make_blobs("mini", n=150, d=6, n_classes=2, separation=4.0, seed=3)
+
+        def grid(study):
+            return ExperimentGrid(datasets=[ds], algorithms=[AlgorithmEntry("supervised")],
+                                  unlabeled_rates=[0.9], n_folds=3, n_seeds=1, base_seed=11,
+                                  train=FAST, study=study, include_oracle=False)
+
+        grids = [grid("a"), grid("b"), replace(grid("c"), base_seed=12),
+                 replace(grid("d"), train=TrainConfig(epochs=3, batch_size=32)),
+                 replace(grid("e"), n_folds=2)]
+        executed = []
+        results = run_grid(grids, progress=executed.append)
+        assert [r.study for r in results] == list("aaabbbcccddd") + ["e", "e"]
+        assert len(executed) == 11  # b repeats a; c, d and e each differ from a
+        a, b = ([(r.max_test_acc, r.wall_ms) for r in results if r.study == s] for s in "ab")
+        assert a == b
+
+    def test_same_name_different_datasets_across_grids_rejected(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a run executed")
+
+        monkeypatch.setattr("proxyssl.protocol._execute_run", no_training)
+        grids = [ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2,
+                                                     separation=4.0, seed=seed)],
+                                algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
+                                train=FAST, study=f"s{seed}", include_oracle=False)
+                 for seed in (1, 2)]
+        with pytest.raises(ConfigError, match="'a'"):
+            run_grid(grids)
 
     def test_empty_algorithms_rejected(self):
         ds = make_blobs("mini", n=60, d=4, n_classes=2, separation=4.0, seed=3)
@@ -122,7 +155,7 @@ class TestRunGrid:
 
 class TestLogRoundTrip:
     def test_format_parse_round_trip(self):
-        results = run_grid(small_grid(include_oracle=False, n_seeds=1))
+        results = run_grid([small_grid(include_oracle=False, n_seeds=1)])
         text = format_log(results)
         back = parse_log(text)
         assert len(back) == len(results)
@@ -195,14 +228,14 @@ class TestMarkSignificance:
 class TestTables:
     def test_oracle_attaches_to_every_rate_block(self):
         grid = small_grid(rates=(0.9, 0.8), include_oracle=True, n_seeds=1)
-        tables = tables_from_results(run_grid(grid))
+        tables = tables_from_results(run_grid([grid]))
         assert len(tables) == 2
         for t in tables:
             assert t.row_labels[0] == "Oracle"
             assert ("Oracle", "mini") in t.cells
 
     def test_render_deterministic(self):
-        results = run_grid(small_grid(n_seeds=2))
+        results = run_grid([small_grid(n_seeds=2)])
         tables = tables_from_results(results)
         text1 = [render_table_text(t) for t in tables]
         text2 = [render_table_text(t) for t in tables_from_results(results)]
@@ -211,7 +244,7 @@ class TestTables:
         assert all("study,rate,row,dataset,mean,significance" in c for c in csv1)
 
     def test_mean_matches_runs(self):
-        results = run_grid(small_grid(include_oracle=False, n_seeds=2))
+        results = run_grid([small_grid(include_oracle=False, n_seeds=2)])
         table = tables_from_results(results)[0]
         cell = table.cells[("Supervised", "mini")]
         assert abs(cell.mean - np.mean(cell.accuracies)) < 1e-12
@@ -219,7 +252,7 @@ class TestTables:
     def test_union_of_disjoint_logs(self):
         ga = small_grid(include_oracle=False, n_seeds=1, study="a")
         gb = small_grid(include_oracle=False, n_seeds=1, study="b")
-        ra, rb = run_grid(ga), run_grid(gb)
+        ra, rb = run_grid([ga]), run_grid([gb])
         merged = tables_from_results(ra + rb)
         assert {t.study for t in merged} == {"a", "b"}
         separate = tables_from_results(ra) + tables_from_results(rb)
