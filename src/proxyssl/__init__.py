@@ -10,7 +10,6 @@ with paired significance testing.
 from .classifier import MlpModel, RunRecord, TrainConfig, fit, init_model, predict
 from .dataset import (
     Dataset,
-    FeatureSplit,
     SamplingStrategy,
     SemiSplit,
     bootstrap_sample,
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmEntry", "CellResult", "ComparisonTable", "ConfigError", "DataError",
-    "Dataset", "ExperimentGrid", "FeatureSplit", "MlpModel", "NumericError",
+    "Dataset", "ExperimentGrid", "MlpModel", "NumericError",
     "ProtocolError", "ProxySslError", "PseudoLabelBatch", "Rng", "RunRecord",
     "RunResult", "SamplingStrategy", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "fit", "init_model",

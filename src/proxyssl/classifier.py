@@ -25,26 +25,20 @@ from .errors import ConfigError, DataError, ShapeError
 from .numerics import Rng, check_finite
 
 DEFAULT_HIDDEN = (16, 16)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 
 
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule knobs for one fit call."""
+    """Step size and schedule of one fit call; Adam's betas and epsilon are fixed."""
 
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError(
-                f"betas must lie in (0,1), got {self.adam_beta1}, {self.adam_beta2}"
-            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -203,7 +197,7 @@ def adam_step(m: MlpModel, grad, cfg: TrainConfig):
     if np.shape(grad) != m.params.shape:
         raise ShapeError(f"gradient of shape {np.shape(grad)} for {m.params.size} parameters")
     m.t += 1
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     c1 = 1.0 - b1 ** m.t
     c2 = 1.0 - b2 ** m.t
     # operand for operand the recurrence m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,

@@ -5,8 +5,8 @@ by one sample per line, ``id,label,f0,f1,...,f{d-1}``. Sample ids are the
 0-based row order of the file; every random decision downstream is keyed to
 these ids, so a dataset loaded twice splits identically.
 
-An optional sidecar manifest ``<file>.manifest.json`` carries
-``{"name", "n", "d", "n_classes", "task"}`` for reporting.
+An optional sidecar ``<file>.manifest.json``, written by whatever produced the
+vectors, carries ``{"name", "n", "d", "n_classes", "task"}`` for reporting.
 """
 
 from __future__ import annotations
@@ -26,6 +26,15 @@ SIZE_MODES = ("x", "2x", "x_half", "x_third_disjoint")
 _STREAM_FOLDS = 0
 _STREAM_MASK = 1
 
+# separators of the run log, which no dataset, study or row-detail name may hold:
+# ',' between fields, '/' between study and row detail, a line break between records
+LOG_FIELD_SEPARATORS = ",/\n\r"
+
+
+def check_log_field(what, value, error):
+    if any(ch in value for ch in LOG_FIELD_SEPARATORS):
+        raise error(f"{what} {value!r} must not contain ',', '/' or a line break")
+
 
 @dataclass
 class Dataset:
@@ -36,8 +45,7 @@ class Dataset:
 
     def __post_init__(self):
         # the name is a field of the run log and part of the series_* file names
-        if any(ch in self.name for ch in ",/\n\r"):
-            raise DataError(f"dataset name {self.name!r} must not contain ',', '/' or a newline")
+        check_log_field("dataset name", self.name, DataError)
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.features.shape[0]
@@ -72,21 +80,12 @@ class SemiSplit:
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
     test_idx: np.ndarray
-    unlabeled_rate: float
 
     def __post_init__(self):
         sets = [set(self.labeled_idx), set(self.unlabeled_idx), set(self.test_idx)]
         total = len(self.labeled_idx) + len(self.unlabeled_idx) + len(self.test_idx)
         if len(sets[0] | sets[1] | sets[2]) != total:
             raise DataError("split index sets overlap")
-
-
-@dataclass
-class FeatureSplit:
-    """Two disjoint half-open column ranges covering all features."""
-
-    view_a: tuple[int, int]
-    view_b: tuple[int, int]
 
 
 @dataclass
@@ -169,13 +168,6 @@ def manifest_path(data_path):
     return str(data_path) + ".manifest.json"
 
 
-def write_manifest(ds: Dataset, data_path, task=""):
-    payload = {"name": ds.name, "n": ds.n, "d": ds.d, "n_classes": ds.n_classes, "task": task}
-    with open(manifest_path(data_path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def read_manifest(data_path):
     p = manifest_path(data_path)
     if not os.path.exists(p):
@@ -240,7 +232,7 @@ def make_semi_split(ds: Dataset, unlabeled_rate, fold, n_folds, rng: Rng):
     train_idx = np.where(fold_of != fold)[0]
 
     if unlabeled_rate == 0.0:
-        return SemiSplit(train_idx, np.array([], dtype=np.int64), test_idx, 0.0)
+        return SemiSplit(train_idx, np.array([], dtype=np.int64), test_idx)
 
     rate_key = int(round(unlabeled_rate * 10**6))
     mask_rng = rng.child(_STREAM_MASK).child(fold).child(rate_key)
@@ -255,15 +247,15 @@ def make_semi_split(ds: Dataset, unlabeled_rate, fold, n_folds, rng: Rng):
         unlabeled.append(perm[: quota[c]])
     unlabeled_idx = np.sort(np.concatenate(unlabeled))
     labeled_idx = np.setdiff1d(train_idx, unlabeled_idx)
-    return SemiSplit(labeled_idx, unlabeled_idx, test_idx, unlabeled_rate)
+    return SemiSplit(labeled_idx, unlabeled_idx, test_idx)
 
 
 def split_features(ds: Dataset):
-    """Halve the feature columns; an odd column count favors the second view."""
+    """Halve the columns into two ``(lo, hi)`` ranges; an odd count favors the second."""
     if ds.d < 2:
         raise ValueError(f"need d >= 2 to split features, got d={ds.d}")
     half = ds.d // 2
-    return FeatureSplit(view_a=(0, half), view_b=(half, ds.d))
+    return (0, half), (half, ds.d)
 
 
 def bootstrap_sample(labeled_idx, strategy: SamplingStrategy, model_slot, rng: Rng):

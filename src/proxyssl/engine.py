@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import MlpModel, TrainConfig, fit, forward, init_model, predict
+from .classifier import TrainConfig, fit, forward, init_model, predict
 from .dataset import Dataset, SamplingStrategy, SemiSplit, bootstrap_sample, split_features
 from .errors import ConfigError
 
@@ -99,7 +99,6 @@ class SslOutcome:
     iteration_accuracy: list[float]
     max_test_accuracy: float
     pseudo_label_counts: list[list[int]]
-    final_models: list[MlpModel] = field(repr=False)
 
     @property
     def iterations_run(self):
@@ -190,14 +189,13 @@ def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
         train_cfg,
         rng.child(0).child(0).child(1),
     )
-    return SslOutcome([rec.max_test_accuracy], rec.max_test_accuracy, [], [model])
+    return SslOutcome([rec.max_test_accuracy], rec.max_test_accuracy, [])
 
 
 def _views(ds: Dataset, cfg: SslConfig):
     """Column range per model: one or three full-width models, or CT's halves."""
     if cfg.algorithm == "CT":
-        fs = split_features(ds)
-        return [fs.view_a, fs.view_b]
+        return list(split_features(ds))
     return [(0, ds.d)] * (1 if cfg.algorithm in _SELF_TRAINING else 3)
 
 
@@ -279,4 +277,4 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
                                  np.concatenate([d_y, b.labels])) for b in batches)))
         counts.append([len(b) for b in batches])
         prev = batches
-    return SslOutcome(trace, max(trace), counts, models)
+    return SslOutcome(trace, max(trace), counts)

@@ -62,10 +62,6 @@ class Rng:
             raise ValueError(f"integers needs lo < hi, got lo={lo} hi={hi}")
         return self._gen.integers(lo, hi, n)
 
-    def raw64(self, n):
-        """n raw 64-bit outputs, for stream-independence checks."""
-        return self._gen.integers(0, 2**64, int(n), dtype=np.uint64)
-
     def normal(self, mu, sigma, n=None):
         return self._gen.normal(mu, sigma, n)
 

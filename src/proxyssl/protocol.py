@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .classifier import TrainConfig
-from .dataset import Dataset, make_semi_split
+from .dataset import Dataset, check_log_field, make_semi_split
 from .engine import SslConfig, run_algorithm, run_supervised
 from .errors import ConfigError, DataError, ProtocolError
 from .numerics import Rng
@@ -48,8 +48,7 @@ class AlgorithmEntry:
     def __post_init__(self):
         if self.algorithm not in BASELINE_ALGORITHMS and self.ssl is None:
             raise ConfigError(f"algorithm {self.algorithm!r} needs an SslConfig")
-        if "," in self.detail or "/" in self.detail:
-            raise ConfigError(f"variant detail {self.detail!r} must not contain ',' or '/'")
+        check_log_field("variant detail", self.detail, ConfigError)
 
     def row_label(self):
         return format_row_label(self.algorithm, self.detail)
@@ -92,8 +91,7 @@ class ExperimentGrid:
                 raise ConfigError(f"unlabeled rate must lie in [0, 1), got {r}")
         if self.n_folds < 2 or self.n_seeds < 1:
             raise ConfigError("need n_folds >= 2 and n_seeds >= 1")
-        if "/" in self.study or "," in self.study:
-            raise ConfigError(f"study name {self.study!r} must not contain ',' or '/'")
+        check_log_field("study name", self.study, ConfigError)
 
 
 @dataclass
@@ -172,8 +170,12 @@ def run_grid(grids, jobs=1, progress=None):
     Its seeds never involve the study, so a shared run is bit-identical to one
     executed twice. Any run failure aborts with a diagnostic naming the cell.
     """
-    named = {}
+    named, studies = {}, set()
     for grid in grids:
+        if grid.study in studies:
+            raise ConfigError(f"two grids are named study {grid.study!r}; table cells "
+                              f"key on the study, so each would hold every run twice")
+        studies.add(grid.study)
         for ds in grid.datasets:
             if named.setdefault(ds.name, ds) is not ds:
                 raise ConfigError(f"two different datasets are named {ds.name!r}; "
@@ -222,7 +224,8 @@ def format_log(results):
 
 def parse_log(text, source="run log"):
     results = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # records end in "\n" only; str.splitlines also breaks at U+2028, "\x1e", ...
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split(",")

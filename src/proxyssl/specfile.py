@@ -29,7 +29,6 @@ _MODE_TOKENS = {"repl": True, "norepl": False, "nointer": False}
 
 @dataclass
 class ExperimentSpec:
-    dataset_paths: list[str]
     grids: list[ExperimentGrid]
     out_dir: str | None = None
     reference: dict = field(default_factory=dict)  # (dataset, rate, row) -> value
@@ -76,9 +75,9 @@ def _rates_from_fractions(raw):
 
 # spec key -> (what it sets, field name, parser). "spec" sets ExperimentSpec,
 # "train" TrainConfig, "grid" ExperimentGrid, "ssl" SslConfig; "study" values
-# pick a study's rows.
+# pick a study's rows and "data" names the files parse_spec loads.
 GLOBAL_KEYS = {
-    "datasets": ("spec", "dataset_paths", _split_list),
+    "datasets": ("data", "paths", _split_list),
     "out_dir": ("spec", "out_dir", str),
     "learning_rate": ("train", "learning_rate", float),
     "batch_size": ("train", "batch_size", int),
@@ -137,7 +136,7 @@ STUDY_KINDS = {
 
 def _read(items, keys):
     """Parse ``items`` (key -> raw text) by ``keys`` into {target: {field: value}}."""
-    out = {"spec": {}, "train": {}, "grid": {}, "study": {}, "ssl": {}}
+    out = {"spec": {}, "train": {}, "grid": {}, "study": {}, "ssl": {}, "data": {}}
     for key, raw in items.items():
         if key not in keys:
             raise ConfigError(f"unknown key {key!r}; this section takes {', '.join(keys)}")
@@ -209,7 +208,7 @@ def parse_spec(path):
         train = TrainConfig(**g["train"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: [global] {exc}") from None
-    paths = g["spec"].get("dataset_paths")
+    paths = g["data"].get("paths")
     if not paths:
         raise ConfigError(f"{path}: [global] datasets must list at least one file")
     missing = [p for p in paths if not os.path.exists(p)]

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from proxyssl.classifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MlpModel,
     TrainConfig,
     _forward_cached,
@@ -144,8 +147,8 @@ def test_softmax_and_loss_analytics():
 
 def test_adam_single_step_oracle():
     """First Adam step on a scalar parameter vs the hand-run recurrence."""
-    lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    cfg = TrainConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_epsilon=eps)
+    lr, b1, b2, eps = 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+    cfg = TrainConfig(learning_rate=lr)
     m = MlpModel([1, 2], [np.array([[0.3, 0.0]])], [np.zeros(2)])
     g = 2.5  # constant gradient
     grad = np.zeros_like(m.params)

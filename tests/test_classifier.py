@@ -5,6 +5,9 @@ import pytest
 
 from proxyssl import classifier
 from proxyssl.classifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MlpModel,
     TrainConfig,
     accuracy,
@@ -75,7 +78,7 @@ def flat_grad(model, w=(), b=()):
 
 def reference_adam(weights, biases, moments, grads_w, grads_b, t, cfg):
     """The per-array Adam loop: every layer's weights, then its biases."""
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, cfg.learning_rate
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for i in range(len(weights)):
@@ -222,8 +225,8 @@ class TestAdam:
         assert m.t == 1
 
     def test_first_step_matches_hand_recurrence(self):
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_epsilon=eps)
+        lr, b1, b2, eps = 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        cfg = TrainConfig(learning_rate=lr)
         m = zero_model(1, 2, hidden=())
         m.weights[0][0, 0] = 0.5
         g = 1.0
@@ -238,8 +241,8 @@ class TestAdam:
         assert abs(expected - 0.4) < 1e-8  # delta is -lr/(1+eps), approx -0.1
 
     def test_two_steps_match_hand_recurrence(self):
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(learning_rate=lr, adam_beta1=b1, adam_beta2=b2, adam_epsilon=eps)
+        lr, b1, b2, eps = 0.05, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        cfg = TrainConfig(learning_rate=lr)
         m = zero_model(1, 2, hidden=())
         theta = 1.0
         m.weights[0][0, 0] = theta
@@ -305,8 +308,6 @@ class TestAdam:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(adam_beta1=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 

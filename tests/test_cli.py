@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from proxyssl import protocol
 from proxyssl.cli import main
-from proxyssl.dataset import save_csv, write_manifest
+from proxyssl.dataset import save_csv
 from proxyssl.errors import ConfigError
 from proxyssl.specfile import STUDY_KINDS, parse_sampling_mode, parse_spec
 from proxyssl.synthetic import make_blobs
@@ -16,7 +17,9 @@ def data_file(tmp_path):
     ds = make_blobs("mini", n=120, d=6, n_classes=2, separation=4.0, seed=13)
     p = tmp_path / "mini.csv"
     save_csv(ds, p)
-    write_manifest(ds, p, task="synthetic blobs")
+    manifest = {"name": ds.name, "n": ds.n, "d": ds.d, "n_classes": ds.n_classes,
+                "task": "synthetic blobs"}
+    (tmp_path / "mini.csv.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     return p
 
 
@@ -229,6 +232,30 @@ class TestRunAndReport:
                      for ds, rate, entry, fold, trial in protocol.enumerate_runs(grid)]
         assert len(executed) == len(set(requested)) < len(requested)
         assert len((out / "run_log.csv").read_text().splitlines()) == len(requested)
+
+    def test_duplicate_study_name_exit_2_before_training(self, tmp_path, data_file, capsys,
+                                                        monkeypatch):
+        # two sections whose names both strip to study "a"
+        spec = write_spec(tmp_path, data_file,
+                          "[study a]\nrates = 0.9\nalgorithms = supervised\n"
+                          "[study  a]\nrates = 0.8\nalgorithms = supervised\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert "'a'" in capsys.readouterr().err
+        assert executed == []
+
+    @pytest.mark.parametrize("ch", ["\u2028", "\x85", "\x0b", "\x0c", "\x1e"])
+    def test_report_reproduces_run_with_line_break_in_study_name(self, tmp_path, data_file, ch):
+        # str.splitlines breaks at each of these; the log's records end in "\n" only
+        spec = write_spec(tmp_path, data_file, f"[study a{ch}b]\nrates = 0.9\n"
+                                               "algorithms = supervised, TBST\nmax_iterations = 1\n")
+        out, rep = tmp_path / "out", tmp_path / "rep"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        assert main(["report", str(out / "run_log.csv"), "--out", str(rep)]) == 0
+        rendered = sorted(p.name for p in out.iterdir() if p.name.startswith(("table_", "series_")))
+        assert rendered and rendered == sorted(p.name for p in rep.iterdir())
+        assert all((out / name).read_bytes() == (rep / name).read_bytes() for name in rendered)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_report_reproduces_run_of_generated_spec(self, tmp_path, seed):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from proxyssl.dataset import (
     read_manifest,
     save_csv,
     split_features,
-    write_manifest,
 )
 from proxyssl.errors import ConfigError, DataError
 from proxyssl.numerics import Rng
@@ -97,10 +98,9 @@ class TestLoadCsv:
         ds = make_blobs("mani", n=20, d=3, n_classes=2, separation=3.0, seed=2)
         p = tmp_path / "mani.csv"
         save_csv(ds, p)
-        write_manifest(ds, p, task="sentiment analysis")
-        m = read_manifest(p)
-        assert m == {"name": "mani", "n": 20, "d": 3, "n_classes": 2,
-                     "task": "sentiment analysis"}
+        payload = {"name": "mani", "n": 20, "d": 3, "n_classes": 2, "task": "sentiment analysis"}
+        (tmp_path / "mani.csv.manifest.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert read_manifest(p) == payload
 
 
 def balanced_dataset(n, n_classes=2, d=4, seed=17):
@@ -186,20 +186,18 @@ class TestMakeSemiSplit:
 class TestSplitFeatures:
     def test_even_halves(self):
         ds = Dataset("w", np.zeros((4, 768)) + np.arange(768), np.array([0, 1, 0, 1]), 2)
-        fs = split_features(ds)
-        assert fs.view_a == (0, 384) and fs.view_b == (384, 768)
+        assert split_features(ds) == ((0, 384), (384, 768))
 
     def test_odd_extra_to_second_view(self):
         ds = Dataset("o", np.ones((4, 5)), np.array([0, 1, 0, 1]), 2)
-        fs = split_features(ds)
-        assert fs.view_a == (0, 2) and fs.view_b == (2, 5)
+        assert split_features(ds) == ((0, 2), (2, 5))
 
     def test_views_cover_disjointly(self):
         for d in (2, 3, 10, 17):
             ds = Dataset("c", np.ones((4, d)), np.array([0, 1, 0, 1]), 2)
-            fs = split_features(ds)
-            assert fs.view_a[1] == fs.view_b[0]
-            assert fs.view_a[0] == 0 and fs.view_b[1] == d
+            (lo_a, hi_a), (lo_b, hi_b) = split_features(ds)
+            assert hi_a == lo_b
+            assert lo_a == 0 and hi_b == d
 
     def test_single_column_rejected(self):
         ds = Dataset("s", np.ones((4, 1)), np.array([0, 1, 0, 1]), 2)

@@ -35,8 +35,8 @@ class TestRng:
         assert np.array_equal(first, again)
 
     def test_distinct_streams_share_no_outputs(self):
-        a = set(Rng(13).child(1).raw64(10_000).tolist())
-        b = set(Rng(13).child(2).raw64(10_000).tolist())
+        a = set(Rng(13).child(1).uniform(0, 1, 10_000).tolist())
+        b = set(Rng(13).child(2).uniform(0, 1, 10_000).tolist())
         assert not (a & b)
 
     def test_stream_is_philox_under_seed_sequence(self):

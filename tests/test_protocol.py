@@ -147,6 +147,23 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="'a'"):
             run_grid(grids)
 
+    def test_two_grids_of_one_study_rejected(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a run executed")
+
+        monkeypatch.setattr("proxyssl.protocol._execute_run", no_training)
+        # both keep the default study name: every cell would hold each run twice
+        grids = [small_grid(), small_grid(rates=(0.8,))]
+        with pytest.raises(ConfigError, match="'baselines'"):
+            run_grid(grids)
+
+    @pytest.mark.parametrize("name", ["a,b", "a/b", "a\nb", "a\rb"])
+    def test_log_separator_in_study_or_detail_rejected(self, name):
+        with pytest.raises(ConfigError, match="must not contain"):
+            small_grid(study=name)
+        with pytest.raises(ConfigError, match="must not contain"):
+            AlgorithmEntry("supervised", detail=name)
+
     def test_empty_algorithms_rejected(self):
         ds = make_blobs("mini", n=60, d=4, n_classes=2, separation=4.0, seed=3)
         with pytest.raises(ConfigError):
