@@ -20,6 +20,7 @@ import sys
 from .dataset import load_csv, read_manifest
 from .errors import ProxySslError
 from .protocol import (
+    check_plan,
     format_log,
     parse_log,
     render_table_delimited,
@@ -143,6 +144,8 @@ def write_report(results, out_dir, alpha=0.10):
 
 def cmd_run(args):
     spec = parse_spec(args.spec)
+    # a config error leaves no output directory; an unwritable one fails before training
+    check_plan(spec.grids, args.jobs)
     out_dir = _resolve_out(args.out, spec.out_dir)
     results = run_grid(spec.grids, jobs=args.jobs)
     log_path = os.path.join(out_dir, LOG_NAME)
@@ -183,7 +186,9 @@ def build_parser():
 
     r = sub.add_parser("run", help="execute an experiment spec")
     r.add_argument("spec", help="experiment spec (ini)")
-    r.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+    r.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="runs at once, each in its own worker process with single-threaded "
+                        "BLAS; the log is the same at any N (default 1: in this process)")
     r.add_argument("--out", default=None, help="output directory")
     r.set_defaults(func=cmd_run)
 

@@ -18,8 +18,9 @@ intentionally non-deterministic column.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 
 from .classifier import TrainConfig
@@ -161,15 +162,10 @@ def enumerate_runs(grid: ExperimentGrid):
     return runs
 
 
-def run_grid(grids, jobs=1, progress=None):
-    """Execute every run of a spec's grids; results come back in canonical order.
-
-    Identical work requested twice, by one grid or by two (same dataset, rate,
-    algorithm, config, fold, trial, training config, folds and base seed),
-    executes once and is re-labeled ``<study>/<detail>`` per requesting row.
-    Its seeds never involve the study, so a shared run is bit-identical to one
-    executed twice. Any run failure aborts with a diagnostic naming the cell.
-    """
+def check_plan(grids, jobs=1):
+    """Raise ``ConfigError`` for a plan that cannot run, before any training."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     named, studies = {}, set()
     for grid in grids:
         if grid.study in studies:
@@ -180,20 +176,95 @@ def run_grid(grids, jobs=1, progress=None):
             if named.setdefault(ds.name, ds) is not ds:
                 raise ConfigError(f"two different datasets are named {ds.name!r}; "
                                   f"runs and tables key on the name")
-    descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
+        if any(e.algorithm == "CT" for e in grid.algorithms):
+            for ds in grid.datasets:
+                if ds.d < 2:
+                    raise ConfigError(f"study {grid.study!r}: CT splits the features in "
+                                      f"two, but dataset {ds.name!r} has d={ds.d}")
 
-    def one(desc):
-        grid, ds, rate, entry, fold, trial = desc
+
+# BLAS pools the workers would otherwise start, each as wide as the machine
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+_worker_runs = None  # a pool worker's copy of the distinct run descriptors
+
+
+def _cell(desc):
+    _, ds, rate, entry, fold, trial = desc
+    return (f"dataset={ds.name} rate={rate} algorithm={entry.algorithm} "
+            f"fold={fold} trial={trial}")
+
+
+def _run_descriptor(desc):
+    grid, ds, rate, entry, fold, trial = desc
+    try:
+        return _execute_run(ds, rate, entry, fold, trial, grid)
+    except Exception as exc:
+        raise ProtocolError(f"run failed for {_cell(desc)}: {exc}") from exc
+
+
+def _init_worker(runs):
+    global _worker_runs
+    _worker_runs = runs
+
+
+def _run_in_worker(index):
+    return _run_descriptor(_worker_runs[index])
+
+
+def _map_in_pool(runs, workers, on_result):
+    """Execute ``runs`` in ``workers`` spawned processes; results reach ``on_result`` in order.
+
+    Each worker receives the descriptor list once, through the pool's
+    initializer, and then only indices into it. Its BLAS runs single-threaded
+    unless the user has set the thread variables; they stay set until the
+    pool has shut down, since workers start as tasks are submitted.
+    """
+    # loaded here, not at the top: serial commands skip their import time and memory
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    for name in BLAS_THREAD_VARS:
+        os.environ.setdefault(name, "1")
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("spawn"),
+                                   initializer=_init_worker, initargs=(runs,))
         try:
-            res = _execute_run(ds, rate, entry, fold, trial, grid)
-        except Exception as exc:
-            raise ProtocolError(
-                f"run failed for dataset={ds.name} rate={rate} algorithm={entry.algorithm} "
-                f"fold={fold} trial={trial}: {exc}"
-            ) from exc
-        if progress:
-            progress(res)
-        return res
+            results = pool.map(_run_in_worker, range(len(runs)))
+            for desc in runs:
+                try:
+                    res = next(results)
+                except BrokenExecutor as exc:
+                    raise ProtocolError(f"a worker process died before run {_cell(desc)} "
+                                        f"finished: {exc}") from exc
+                on_result(res)
+        finally:
+            # after a failure, drop the runs that no worker has started
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def run_grid(grids, jobs=1, progress=None):
+    """Execute every run of a spec's grids; results come back in canonical order.
+
+    Identical work requested twice, by one grid or by two (same dataset, rate,
+    algorithm, config, fold, trial, training config, folds and base seed),
+    executes once and is re-labeled ``<study>/<detail>`` per requesting row.
+    Its seeds never involve the study, so a shared run is bit-identical to one
+    executed twice. With ``jobs > 1`` the distinct runs execute in up to
+    ``jobs`` worker processes; ``progress`` is called here, once per executed
+    run, in canonical order. Any run failure aborts with a diagnostic naming
+    the cell.
+    """
+    check_plan(grids, jobs)
+    descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
 
     # dedupe, execute each distinct run once, then relabel per requesting entry
     keys = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
@@ -202,11 +273,20 @@ def run_grid(grids, jobs=1, progress=None):
     first = {}
     for key, desc in zip(keys, descriptors):
         first.setdefault(key, desc)
-    if jobs <= 1:
-        executed = list(map(one, first.values()))
+    runs = list(first.values())
+    executed = []
+
+    def done(res):
+        if progress:
+            progress(res)
+        executed.append(res)
+
+    workers = min(jobs, len(runs))
+    if workers == 1:
+        for res in map(_run_descriptor, runs):
+            done(res)
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            executed = list(pool.map(one, first.values()))
+        _map_in_pool(runs, workers, done)
     by_key = dict(zip(first, executed))
     return [replace(by_key[key], variant=f"{grid.study}/{entry.detail}")
             for key, (grid, _, _, entry, _, _) in zip(keys, descriptors)]

@@ -82,7 +82,7 @@ def bench_results(synth_dataset):
         train=TrainConfig(epochs=60, batch_size=32),
         study="bench", include_oracle=False)
     t0 = time.monotonic()
-    results = run_grid([grid])
+    results = run_grid([grid], jobs=2)
     return results, time.monotonic() - t0
 
 

@@ -244,6 +244,41 @@ class TestRunAndReport:
         assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert "'a'" in capsys.readouterr().err
         assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_ct_on_one_column_dataset_exit_2_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        data = tmp_path / "flat.csv"
+        save_csv(make_blobs("flat", n=60, d=1, n_classes=2, separation=4.0, seed=1), data)
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = TBST, CT\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 2
+        assert "d=1" in capsys.readouterr().err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2_before_training(self, tmp_path, data_file, capsys,
+                                                   monkeypatch, jobs):
+        spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms = supervised\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_fails_before_training(self, tmp_path, data_file, capsys,
+                                                  monkeypatch):
+        spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms = supervised\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["run", str(spec), "--out", str(blocker / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert executed == []
 
     @pytest.mark.parametrize("ch", ["\u2028", "\x85", "\x0b", "\x0c", "\x1e"])
     def test_report_reproduces_run_with_line_break_in_study_name(self, tmp_path, data_file, ch):

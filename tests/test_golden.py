@@ -70,7 +70,7 @@ def log_fingerprint(text):
     return hashlib.sha256(stripped.encode("utf-8")).hexdigest()
 
 
-def test_golden_run_log(tmp_path):
+def run_golden(tmp_path, *options):
     ds = make_blobs("gold", n=150, d=8, n_classes=3, separation=3.0, seed=4)
     data = tmp_path / "gold.csv"
     save_csv(ds, data)
@@ -81,8 +81,12 @@ def test_golden_run_log(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    assert main(["run", str(spec), "--out", str(out)]) == 0
-    text = (out / "run_log.csv").read_text(encoding="utf-8")
+    assert main(["run", str(spec), "--out", str(out), *options]) == 0
+    return (out / "run_log.csv").read_text(encoding="utf-8")
+
+
+def test_golden_run_log(tmp_path):
+    text = run_golden(tmp_path)
     rows = [line.split(",") for line in text.splitlines()]
     assert {r[3].split("/")[0] for r in rows} == {
         "baselines", "sampling", "fresh", "eval", "thresholds", "windows", "sweep"}
@@ -91,3 +95,8 @@ def test_golden_run_log(tmp_path):
     # every SSL run pseudo-labels at least once, so every loop is exercised
     assert all(int(r[7]) >= 1 for r in ssl_rows), [r for r in ssl_rows if int(r[7]) < 1]
     assert log_fingerprint(text) == GOLDEN_SHA256
+
+
+def test_golden_run_log_jobs_2(tmp_path):
+    # worker processes with single-threaded BLAS write the same log
+    assert log_fingerprint(run_golden(tmp_path, "--jobs", "2")) == GOLDEN_SHA256

@@ -1,4 +1,7 @@
-from dataclasses import replace
+import concurrent.futures
+import multiprocessing
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -52,6 +55,19 @@ class TestDeriveSeed:
         assert len(seen) == 100
 
 
+def failing_grid():
+    """Three TT runs that each fail with a diagnostic naming their cell."""
+    ds = make_blobs("tiny", n=9, d=4, n_classes=3, separation=3.0, seed=5)
+    # class size 3 equals folds, so masking at a high rate still works,
+    # but TT bootstrap x_half needs x >= 6 and the labeled pool is 2
+    half = SamplingStrategy("x_half", with_replacement=True)
+    return ExperimentGrid(
+        datasets=[ds],
+        algorithms=[AlgorithmEntry("TT", SslConfig("TT", sampling=half))],
+        unlabeled_rates=[0.5],
+        n_folds=3, n_seeds=1, base_seed=1, train=FAST, include_oracle=False)
+
+
 class TestRunGrid:
     def test_fifteen_runs_per_cell(self):
         results = run_grid([small_grid(include_oracle=False)])
@@ -74,10 +90,48 @@ class TestRunGrid:
         assert [r.max_test_acc for r in a] == [r.max_test_acc for r in b]
 
     def test_jobs_parallel_matches_serial(self):
-        grid = small_grid(include_oracle=False, n_seeds=2)
-        serial = run_grid([grid], jobs=1)
-        parallel = run_grid([grid], jobs=4)
-        assert [r.max_test_acc for r in serial] == [r.max_test_acc for r in parallel]
+        grid = small_grid(algorithms=[AlgorithmEntry("supervised"),
+                                      AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
+                          include_oracle=False, n_seeds=2)
+        grids = [grid, replace(grid, study="again")]  # every run of "again" repeats one
+        serial = run_grid(grids, jobs=1)
+        called_in = []
+        parallel = run_grid(grids, jobs=2, progress=lambda r: called_in.append(os.getpid()))
+
+        def without_wall(results):
+            return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in results]
+
+        assert without_wall(parallel) == without_wall(serial)
+        assert called_in == [os.getpid()] * (len(serial) // 2)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size_capped_by_distinct_runs(self, monkeypatch):
+        # records the executor's arguments and the BLAS variables, starts no process
+        built = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                built.append((max_workers, {name: os.environ.get(name)
+                                            for name in ("OPENBLAS_NUM_THREADS",
+                                                         "OMP_NUM_THREADS")}))
+                raise RuntimeError("no pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        grid = replace(small_grid(include_oracle=False, n_seeds=1), n_folds=2)  # two runs
+        for jobs in (3, 10**6):
+            with pytest.raises(RuntimeError, match="no pool"):
+                run_grid([grid], jobs=jobs)
+        # the user's OMP setting is kept; the parent's variables are restored
+        assert built == [(2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"})] * 2
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_grid([small_grid()], jobs=jobs)
 
     def test_oracle_equals_rate_zero_supervised(self):
         grid = small_grid(include_oracle=True)
@@ -104,17 +158,27 @@ class TestRunGrid:
         assert one == two
 
     def test_failure_diagnostic_names_cell(self):
-        ds = make_blobs("tiny", n=9, d=4, n_classes=3, separation=3.0, seed=5)
-        # class size 3 equals folds, so masking at a high rate still works,
-        # but TT bootstrap x_half needs x >= 6 and the labeled pool is 2
-        half = SamplingStrategy("x_half", with_replacement=True)
-        grid = ExperimentGrid(
-            datasets=[ds],
-            algorithms=[AlgorithmEntry("TT", SslConfig("TT", sampling=half))],
-            unlabeled_rates=[0.5],
-            n_folds=3, n_seeds=1, base_seed=1, train=FAST, include_oracle=False)
         with pytest.raises(ProtocolError, match="dataset=tiny"):
-            run_grid([grid])
+            run_grid([failing_grid()])
+
+    def test_failure_in_worker_names_cell(self):
+        with pytest.raises(ProtocolError, match="run failed for dataset=tiny rate=0.5 "
+                                                "algorithm=TT fold=0 trial=0"):
+            run_grid([failing_grid()], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_protocol_error(self):
+        class ExitOnLoad:
+            # unpickling this in a worker ends the process at once
+            def __reduce__(self):
+                return os._exit, (70,)
+
+        grid = small_grid(include_oracle=False, n_seeds=1)
+        grid.datasets[0].unpicklable = ExitOnLoad()
+        with pytest.raises(ProtocolError, match="worker process died before run "
+                                                "dataset=mini rate=0.9"):
+            run_grid([grid], jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_grids_share_runs_only_under_equal_training(self):
         ds = make_blobs("mini", n=150, d=6, n_classes=2, separation=4.0, seed=3)
@@ -156,6 +220,19 @@ class TestRunGrid:
         grids = [small_grid(), small_grid(rates=(0.8,))]
         with pytest.raises(ConfigError, match="'baselines'"):
             run_grid(grids)
+
+    def test_ct_on_one_column_dataset_rejected(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a run executed")
+
+        monkeypatch.setattr("proxyssl.protocol._execute_run", no_training)
+        ds = make_blobs("flat", n=60, d=1, n_classes=2, separation=4.0, seed=1)
+        grid = ExperimentGrid(datasets=[ds],
+                              algorithms=[AlgorithmEntry("supervised"),
+                                          AlgorithmEntry("CT", SslConfig("CT"))],
+                              unlabeled_rates=[0.5], train=FAST, include_oracle=False)
+        with pytest.raises(ConfigError, match="CT.*'flat' has d=1"):
+            run_grid([grid])
 
     @pytest.mark.parametrize("name", ["a,b", "a/b", "a\nb", "a\rb"])
     def test_log_separator_in_study_or_detail_rejected(self, name):
