@@ -1,9 +1,9 @@
 """Feed-forward classifier: input -> 16 -> 16 -> C, ReLU hidden, softmax out.
 
 Training is plain mini-batch cross-entropy with the Adam update rule,
-implemented directly on numpy arrays. The success metric of a training run
-is the maximum test accuracy observed across its epochs, recorded in a
-RunRecord alongside the full per-epoch trace.
+implemented directly on numpy arrays. Given a test set, ``fit`` scores it
+after every epoch and returns the maximum test accuracy in a RunRecord
+alongside the full per-epoch trace; without one it only trains.
 
 Parameter layout: a model keeps all of its parameters in one contiguous
 float64 vector, ``params``. It holds every layer's weight matrix in layer
@@ -17,6 +17,7 @@ operations, and the finiteness check after it reads one leading segment,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class TrainConfig:
     epochs: int = 100
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -240,14 +241,16 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
 
     Advances the model in place (optimizer moments persist), so successive
     calls warm-start from the previous state; callers wanting a fresh model
-    call init_model first. Returns the RunRecord for this call.
+    call init_model first. Returns the RunRecord for this call; with
+    ``test_x`` None it only trains and returns None.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
     n = train_x.shape[0]
     if n == 0:
         raise ValueError("fit needs a nonempty training set")
-    if len(test_y) == 0:
+    scored = test_x is not None
+    if scored and len(test_y) == 0:
         raise ValueError("fit needs a nonempty test set")
     # batches are gathered one at a time: a shuffled copy of the whole set
     # per epoch made fit about 20% slower at 768 columns
@@ -258,5 +261,6 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
             idx = order[start : start + cfg.batch_size]
             _, grad = loss_and_grads(m, train_x[idx], train_y[idx])
             adam_step(m, grad, cfg)
-        trace.append(accuracy(m, test_x, test_y))
-    return RunRecord(trace, max(trace))
+        if scored:
+            trace.append(accuracy(m, test_x, test_y))
+    return RunRecord(trace, max(trace)) if scored else None

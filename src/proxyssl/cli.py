@@ -18,7 +18,7 @@ import os
 import sys
 
 from .dataset import load_csv, read_manifest
-from .errors import ProxySslError
+from .errors import ConfigError, ProxySslError
 from .protocol import (
     check_plan,
     format_log,
@@ -162,6 +162,8 @@ def cmd_run(args):
 
 
 def cmd_report(args):
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     with open(args.log, "r", encoding="utf-8") as fh:
         results = parse_log(fh.read(), source=args.log)
     out_dir = _resolve_out(args.out)

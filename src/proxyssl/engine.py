@@ -19,6 +19,8 @@ labeled pool D plus its batch, repeat until a stop rule fires or
   (CT), the batches repeat the previous ones (TT/TTWD);
 - evaluation: best epoch of any model; with ``eval_mode="ensemble"``, the
   mean-probability argmax of two models or the majority vote of three.
+  Only the first reads per-epoch scores, so only it passes ``fit`` a test
+  set.
 
 Batches are rebuilt from all of U every iteration; samples are never
 removed from U. Warm start (continuing from the previous iteration's
@@ -220,13 +222,8 @@ def _stop(cfg: SslConfig, batches, prev, n_unlabeled):
     return prev is not None and all(b.same_as(p) for b, p in zip(batches, prev))
 
 
-def _evaluate(cfg: SslConfig, models, views, recs, test_x, test_y):
-    """Best epoch of any model, or the ensemble's test accuracy.
-
-    Two models average their probabilities; three take a majority vote.
-    """
-    if len(models) == 1 or cfg.eval_mode == "best_single":
-        return max(rec.max_test_accuracy for rec in recs)
+def _ensemble_accuracy(models, views, test_x, test_y):
+    """Test accuracy of two models' mean probabilities, or three models' majority vote."""
     probs = [forward(m, test_x[:, lo:hi]) for m, (lo, hi) in zip(models, views)]
     if len(models) == 2:
         voted = (sum(probs) / 2).argmax(axis=1)
@@ -257,15 +254,20 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
         initial = [(d_x, d_y)] * len(views)
 
     models = [None] * len(views)
+    # the best epoch of any model is the score, or else the ensemble's accuracy
+    best_epoch = len(views) == 1 or cfg.eval_mode == "best_single"
 
     def train(it, train_sets):
         recs = []
         for s, ((lo, hi), (x, y)) in enumerate(zip(views, train_sets)):
             if models[s] is None or cfg.fresh_model_each_iteration:
                 models[s] = init_model(hi - lo, ds.n_classes, rng.child(it).child(s).child(0))
-            recs.append(fit(models[s], x[:, lo:hi], y, test_x[:, lo:hi], test_y,
+            test = (test_x[:, lo:hi], test_y) if best_epoch else (None, None)
+            recs.append(fit(models[s], x[:, lo:hi], y, *test,
                             train_cfg, rng.child(it).child(s).child(1)))
-        return _evaluate(cfg, models, views, recs, test_x, test_y)
+        if best_epoch:
+            return max(rec.max_test_accuracy for rec in recs)
+        return _ensemble_accuracy(models, views, test_x, test_y)
 
     trace, counts, prev = [train(0, initial)], [], None
     for it in range(1, cfg.max_iterations + 1):

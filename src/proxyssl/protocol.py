@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
@@ -87,6 +88,9 @@ class ExperimentGrid:
                 raise ConfigError(f"{what} must be unique, got {names}")
         if not self.unlabeled_rates:
             raise ConfigError("grid needs at least one unlabeled rate")
+        if len(set(self.unlabeled_rates)) < len(self.unlabeled_rates):
+            raise ConfigError(f"unlabeled rates must be unique, got {self.unlabeled_rates}; "
+                              f"a repeated rate would log each of its runs twice")
         for r in self.unlabeled_rates:
             if not 0.0 <= r < 1.0:
                 raise ConfigError(f"unlabeled rate must lie in [0, 1), got {r}")
@@ -116,10 +120,26 @@ class RunResult:
         return self.variant.split("/", 1)[1]
 
 
-def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: ExperimentGrid):
+def _shared_split(splits, ds: Dataset, rate, fold, grid: ExperimentGrid):
+    """The split of (dataset, rate, fold), made once per ``splits`` cache, with read-only indices.
+
+    A cache serves one run_grid call, whose datasets have distinct names.
+    """
+    key = (ds.name, grid.base_seed, rate, fold, grid.n_folds)
+    split = splits.get(key)
+    if split is None:
+        split_rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
+        split = make_semi_split(ds, rate, fold, grid.n_folds, split_rng)
+        for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
+            idx.flags.writeable = False
+        splits[key] = split
+    return split
+
+
+def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: ExperimentGrid,
+                 splits):
     rate_key = int(round(rate * 10**6))
-    split_rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
-    split = make_semi_split(ds, rate, fold, grid.n_folds, split_rng)
+    split = _shared_split(splits, ds, rate, fold, grid)
     train_rng = Rng(derive_seed(grid.base_seed, "train", ds.name, rate_key,
                                 entry.algorithm, fold, trial))
     t0 = time.perf_counter()
@@ -186,7 +206,10 @@ def check_plan(grids, jobs=1):
 # BLAS pools the workers would otherwise start, each as wide as the machine
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-_worker_runs = None  # a pool worker's copy of the distinct run descriptors
+_worker = None  # a pool worker's copy of the distinct run descriptors, and its split cache
+
+_MAIN_GUARD = ('a script must call run_grid with jobs > 1 under `if __name__ == "__main__":`, '
+              "since each worker process imports the script's main module as it starts")
 
 
 def _cell(desc):
@@ -195,21 +218,22 @@ def _cell(desc):
             f"fold={fold} trial={trial}")
 
 
-def _run_descriptor(desc):
+def _run_descriptor(desc, splits):
     grid, ds, rate, entry, fold, trial = desc
     try:
-        return _execute_run(ds, rate, entry, fold, trial, grid)
+        return _execute_run(ds, rate, entry, fold, trial, grid, splits)
     except Exception as exc:
         raise ProtocolError(f"run failed for {_cell(desc)}: {exc}") from exc
 
 
 def _init_worker(runs):
-    global _worker_runs
-    _worker_runs = runs
+    global _worker
+    _worker = (runs, {})
 
 
 def _run_in_worker(index):
-    return _run_descriptor(_worker_runs[index])
+    runs, splits = _worker
+    return _run_descriptor(runs[index], splits)
 
 
 def _map_in_pool(runs, workers, on_result):
@@ -233,12 +257,13 @@ def _map_in_pool(runs, workers, on_result):
                                    initializer=_init_worker, initargs=(runs,))
         try:
             results = pool.map(_run_in_worker, range(len(runs)))
-            for desc in runs:
+            for received, desc in enumerate(runs):
                 try:
                     res = next(results)
                 except BrokenExecutor as exc:
+                    hint = "" if received else f"; {_MAIN_GUARD}"
                     raise ProtocolError(f"a worker process died before run {_cell(desc)} "
-                                        f"finished: {exc}") from exc
+                                        f"finished ({exc}){hint}") from exc
                 on_result(res)
         finally:
             # after a failure, drop the runs that no worker has started
@@ -251,6 +276,18 @@ def _map_in_pool(runs, workers, on_result):
                 os.environ[name] = value
 
 
+def _check_not_bootstrapping():
+    """Refuse to run in a spawned worker that is still importing the main module.
+
+    A worker that gets here is re-running a script that calls run_grid
+    without the main guard; its own pool could only fail or hang.
+    """
+    process = sys.modules.get("multiprocessing.process")
+    if process is not None and getattr(process.current_process(), "_inheriting", False):
+        raise ConfigError(f"run_grid was called while a worker process imported the main "
+                          f"module; {_MAIN_GUARD}")
+
+
 def run_grid(grids, jobs=1, progress=None):
     """Execute every run of a spec's grids; results come back in canonical order.
 
@@ -258,11 +295,13 @@ def run_grid(grids, jobs=1, progress=None):
     algorithm, config, fold, trial, training config, folds and base seed),
     executes once and is re-labeled ``<study>/<detail>`` per requesting row.
     Its seeds never involve the study, so a shared run is bit-identical to one
-    executed twice. With ``jobs > 1`` the distinct runs execute in up to
+    executed twice. The runs of one (dataset, rate, fold) share one split,
+    made once per process. With ``jobs > 1`` the distinct runs execute in up to
     ``jobs`` worker processes; ``progress`` is called here, once per executed
     run, in canonical order. Any run failure aborts with a diagnostic naming
     the cell.
     """
+    _check_not_bootstrapping()
     check_plan(grids, jobs)
     descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
 
@@ -283,8 +322,9 @@ def run_grid(grids, jobs=1, progress=None):
 
     workers = min(jobs, len(runs))
     if workers == 1:
-        for res in map(_run_descriptor, runs):
-            done(res)
+        splits = {}
+        for desc in runs:
+            done(_run_descriptor(desc, splits))
     else:
         _map_in_pool(runs, workers, done)
     by_key = dict(zip(first, executed))
@@ -386,8 +426,12 @@ def tables_from_results(results, alpha=0.10):
                 cells.setdefault((label, r.dataset), CellResult(runs=[])).runs.append(
                     (r.fold, r.trial, r.max_test_acc)
                 )
-            for cell in cells.values():
+            for (label, ds), cell in cells.items():
                 cell.runs.sort(key=lambda e: (e[0], e[1]))
+                pairs = cell.pairs()
+                if len(set(pairs)) < len(pairs):
+                    raise DataError(f"study {study!r} at rate {rate!r}: cell {label!r} on "
+                                    f"{ds!r} holds a (fold, trial) more than once")
             table = ComparisonTable(study, rate, datasets, rows, cells)
             if "Supervised" in rows:
                 mark_significance(table, alpha)

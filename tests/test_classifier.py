@@ -311,6 +311,11 @@ class TestAdam:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(learning_rate=lr)
+
 
 def separable_blobs(n_per_class, seed):
     """Two 2-d blobs with a wide margin; verified linearly separable."""
@@ -384,6 +389,30 @@ class TestFit:
             TrainConfig(epochs=3, batch_size=16), Rng(103))
         batches = 3 * math.ceil(50 / 16)
         assert calls == {"loss_and_grads": batches, "adam_step": batches}
+
+    def test_one_accuracy_call_per_epoch_with_a_test_set(self, monkeypatch):
+        calls = []
+        real = classifier.accuracy
+        monkeypatch.setattr(classifier, "accuracy", lambda *a: calls.append(a) or real(*a))
+        x, y = separable_blobs(10, seed=111)
+        rec = fit(init_model(2, 2, Rng(112)), x, y, x, y, TrainConfig(epochs=4), Rng(113))
+        assert len(calls) == len(rec.epoch_test_accuracy) == 4
+
+    def test_without_test_set_only_trains(self, monkeypatch):
+        x, y = separable_blobs(20, seed=121)
+        cfg = TrainConfig(epochs=4, batch_size=8)
+        scored = init_model(2, 2, Rng(122))
+        fit(scored, x, y, x, y, cfg, Rng(123))
+        calls = []
+        monkeypatch.setattr(classifier, "accuracy", lambda *a: calls.append(a))
+        trained = init_model(2, 2, Rng(122))
+        assert fit(trained, x, y, None, None, cfg, Rng(123)) is None
+        assert calls == []
+        # scoring reads the model and draws nothing, so training is unchanged
+        assert trained.t == scored.t
+        for got, want in ((trained.params, scored.params), (trained.m, scored.m),
+                          (trained.v, scored.v)):
+            assert np.array_equal(got, want)
 
     def test_empty_train_rejected(self):
         m = init_model(2, 2, Rng(1))

@@ -359,9 +359,15 @@ class TestRunAndReport:
         ("", "[study s]\nalgorithms = supervised\ninclude_oracle = maybe\n",
          "[study s]", "include_oracle"),
         ("", "[study s]\nalgorithms = supervised, TBST, TBST\n", "[study s]", "TBST"),
+        ("", "[study s]\nrates = 0.9, 0.90\nalgorithms = supervised\n", "[study s]", "rates"),
+        ("learning_rate = nan\n", "[study s]\nalgorithms = supervised\n", "[global]",
+         "learning_rate"),
+        ("learning_rate = inf\n", "[study s]\nalgorithms = supervised\n", "[global]",
+         "learning_rate"),
     ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
             "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
-            "bad-boolean", "repeated-algorithm"])
+            "bad-boolean", "repeated-algorithm", "repeated-rate", "learning_rate-nan",
+            "learning_rate-inf"])
     def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                        monkeypatch, global_extra, body,
                                                        section, key):
@@ -394,6 +400,19 @@ class TestRunAndReport:
         monkeypatch.setattr("proxyssl.cli.run_grid", no_training)
         assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert "unique" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["5", "-1", "nan", "0", "1"])
+    def test_alpha_outside_unit_interval_exit_2_before_reading(self, tmp_path, capsys, alpha):
+        # the log does not exist: reading it first would exit 1
+        assert main(["report", str(tmp_path / "absent.csv"), "--alpha", alpha]) == 2
+        assert "--alpha" in capsys.readouterr().err
+
+    def test_repeated_run_in_a_cell_exit_1(self, tmp_path, capsys):
+        lines = [f"mini,0.9,{alg},s/std,0,0,50.0,0,1.000" for alg in ("supervised", "TBST")]
+        log = tmp_path / "twice.csv"
+        log.write_text("\n".join(lines + lines[1:]) + "\n", encoding="utf-8")
+        assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
+        assert "more than once" in capsys.readouterr().err
 
     def test_corrupt_log_exit_1(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from proxyssl import engine
+from proxyssl import classifier, engine
 from proxyssl.classifier import TrainConfig, fit
 from proxyssl.dataset import SamplingStrategy, make_semi_split
 from proxyssl.engine import (
@@ -362,3 +362,37 @@ class TestDispatch:
         out = run_algorithm(ds, split, cfg, FAST, Rng(40))
         assert 0.0 <= out.max_test_accuracy <= 1.0
         assert out.max_test_accuracy == max(out.iteration_accuracy)
+
+
+class TestEpochScoring:
+    """``fit`` scores the test set per epoch only where the run's score reads it."""
+
+    def count(self, monkeypatch, run):
+        fits, scores = [], []
+        real_fit, real_accuracy = engine.fit, classifier.accuracy
+        monkeypatch.setattr(engine, "fit", lambda *a: fits.append(a) or real_fit(*a))
+        monkeypatch.setattr(classifier, "accuracy",
+                            lambda *a: scores.append(a) or real_accuracy(*a))
+        run()
+        return len(fits), len(scores)
+
+    @pytest.mark.parametrize("alg, eval_mode", [
+        ("TBST", "ensemble"), ("CBST", "ensemble"),
+        ("CT", "best_single"), ("TT", "best_single"), ("TTWD", "best_single")])
+    def test_best_epoch_scores_every_epoch(self, monkeypatch, alg, eval_mode):
+        ds, split = blob_split()
+        cfg = SslConfig(alg, tau1=0.5, max_iterations=2, eval_mode=eval_mode)
+        fits, scores = self.count(monkeypatch, lambda: run_algorithm(ds, split, cfg, FAST, Rng(9)))
+        assert fits >= 2 and scores == FAST.epochs * fits
+
+    def test_supervised_scores_every_epoch(self, monkeypatch):
+        ds, split = blob_split()
+        fits, scores = self.count(monkeypatch, lambda: run_supervised(ds, split, FAST, Rng(9)))
+        assert (fits, scores) == (1, FAST.epochs)
+
+    @pytest.mark.parametrize("alg", ["CT", "TT", "TTWD"])
+    def test_ensemble_scores_no_epoch(self, monkeypatch, alg):
+        ds, split = blob_split()
+        cfg = SslConfig(alg, tau1=0.5, max_iterations=2)
+        fits, scores = self.count(monkeypatch, lambda: run_algorithm(ds, split, cfg, FAST, Rng(9)))
+        assert fits >= 4 and scores == 0

@@ -1,11 +1,18 @@
 import concurrent.futures
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proxyssl
+from proxyssl import protocol
 from proxyssl.classifier import TrainConfig
 from proxyssl.dataset import SamplingStrategy, make_semi_split
 from proxyssl.engine import SslConfig, run_supervised
@@ -16,6 +23,7 @@ from proxyssl.protocol import (
     CellResult,
     ComparisonTable,
     ExperimentGrid,
+    RunResult,
     derive_seed,
     format_log,
     mark_significance,
@@ -246,6 +254,102 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             ExperimentGrid(datasets=[ds], algorithms=[], unlabeled_rates=[0.9])
 
+    def test_repeated_rate_rejected(self):
+        # each run of a repeated rate would be logged, and t-tested, twice
+        with pytest.raises(ConfigError, match="unique"):
+            small_grid(rates=(0.9, 0.8, 0.90))
+
+
+class TestSharedSplits:
+    def grid(self):
+        datasets = [make_blobs(name, n=90, d=4, n_classes=2, separation=4.0, seed=seed)
+                    for seed, name in enumerate(("p", "q"))]
+        return ExperimentGrid(datasets=datasets,
+                              algorithms=[AlgorithmEntry("supervised"),
+                                          AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
+                              unlabeled_rates=[0.9, 0.8], n_seeds=2, base_seed=3, train=FAST)
+
+    def test_one_split_per_dataset_rate_fold(self, monkeypatch):
+        made = []
+        real = protocol.make_semi_split
+        monkeypatch.setattr(protocol, "make_semi_split", lambda *a: made.append(a) or real(*a))
+        results = run_grid([self.grid()])
+        keys = {(r.dataset, r.rate, r.fold) for r in results}
+        assert len(made) == len(keys) == 2 * 3 * 3  # datasets x (oracle + 2 rates) x folds
+        assert len(results) == 2 * 3 * 2 * (1 + 2 * 2)
+
+    def test_runs_of_a_fold_share_one_read_only_split(self, monkeypatch):
+        seen = {}
+        real = protocol.run_supervised
+
+        def record(ds, split, train_cfg, rng):
+            seen.setdefault((ds.name, len(split.unlabeled_idx), split.test_idx[0]),
+                            set()).add(id(split))
+            for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
+                assert not idx.flags.writeable
+            with pytest.raises(ValueError):
+                split.test_idx[0] = 0
+            return real(ds, split, train_cfg, rng)
+
+        monkeypatch.setattr(protocol, "run_supervised", record)
+        run_grid([self.grid()])
+        # supervised and oracle runs: (2 datasets) x (3 rates) x (3 folds), 2 trials each
+        assert len(seen) == 18 and all(len(ids) == 1 for ids in seen.values())
+
+
+UNGUARDED_SCRIPT = """
+from proxyssl import AlgorithmEntry, ExperimentGrid, TrainConfig, run_grid
+from proxyssl.synthetic import make_blobs
+
+grid = ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=1)],
+                      algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
+                      n_seeds=1, train=TrainConfig(epochs=1), include_oracle=False)
+run_grid([grid], jobs=2)
+"""
+
+
+def live_group_members(pgid):
+    """Pids of the processes of group ``pgid`` that are still running (not zombies)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:  # the process ended while we looked
+            continue
+        state, _, group = text[text.rindex(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
+def test_script_without_main_guard_fails_fast(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
+    src = str(Path(proxyssl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # its own process group holds the script, its workers and their helpers
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a script calling run_grid(jobs=2) without a main guard hung")
+    assert proc.returncode != 0
+    # each worker stops at its own run_grid call, before starting a pool of its own
+    assert "run_grid was called while a worker process imported the main module" in err, err
+    assert 'ProtocolError' in err and 'if __name__ == "__main__":' in err, err
+    deadline = time.monotonic() + 10
+    while live_group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = live_group_members(proc.pid)
+    if left:
+        os.killpg(proc.pid, signal.SIGKILL)
+    assert left == []
+
 
 class TestLogRoundTrip:
     def test_format_parse_round_trip(self):
@@ -342,6 +446,12 @@ class TestTables:
         table = tables_from_results(results)[0]
         cell = table.cells[("Supervised", "mini")]
         assert abs(cell.mean - np.mean(cell.accuracies)) < 1e-12
+
+    def test_repeated_fold_trial_in_a_cell_rejected(self):
+        runs = [RunResult("d", 0.9, alg, "s/std", 0, 0, 50.0, 0, 1.0)
+                for alg in ("supervised", "TBST")]
+        with pytest.raises(DataError, match="'TBST' on 'd' holds a \\(fold, trial\\) more than once"):
+            tables_from_results(runs + runs[1:])
 
     def test_union_of_disjoint_logs(self):
         ga = small_grid(include_oracle=False, n_seeds=1, study="a")
