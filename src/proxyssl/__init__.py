@@ -10,7 +10,6 @@ with paired significance testing.
 from .classifier import MlpModel, RunRecord, TrainConfig, fit, init_model, predict
 from .dataset import (
     Dataset,
-    SamplingStrategy,
     SemiSplit,
     bootstrap_sample,
     load_csv,
@@ -49,7 +48,7 @@ __all__ = [
     "AlgorithmEntry", "CellResult", "ComparisonTable", "ConfigError", "DataError",
     "Dataset", "ExperimentGrid", "MlpModel", "NumericError",
     "ProtocolError", "ProxySslError", "PseudoLabelBatch", "Rng", "RunRecord",
-    "RunResult", "SamplingStrategy", "SemiSplit", "ShapeError", "SslConfig",
+    "RunResult", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "fit", "init_model",
     "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
     "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm",

@@ -29,6 +29,7 @@ from .protocol import (
     tables_from_results,
 )
 from .specfile import parse_spec
+from .stats import ALPHA
 
 ENV_OUT = "PROXYSSL_OUT"
 LOG_NAME = "run_log.csv"
@@ -136,7 +137,7 @@ def write_reference_report(tables, reference, out_dir):
     return path
 
 
-def write_report(results, out_dir, alpha=0.10):
+def write_report(results, out_dir, alpha=ALPHA):
     """Tables and series of ``results``; ``run`` and ``report`` both write through here."""
     tables = tables_from_results(results, alpha=alpha)
     return tables, write_tables(tables, out_dir) + write_series(tables, out_dir)
@@ -197,7 +198,8 @@ def build_parser():
     p = sub.add_parser("report", help="rebuild tables from an existing run log")
     p.add_argument("log", help="run log path")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--alpha", type=float, default=0.10, help="significance level (default 0.10)")
+    p.add_argument("--alpha", type=float, default=ALPHA,
+                   help=f"significance level (default {ALPHA:.2f})")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -20,7 +20,16 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .numerics import Rng, check_finite
 
-SIZE_MODES = ("x", "2x", "x_half", "x_third_disjoint")
+# bootstrap sampling mode -> (sample size as a multiple of the labeled count x or,
+# for three disjoint thirds of the labeled set, None; replace; fewest labeled samples)
+SAMPLING_MODES = {
+    "x:norepl": (1, False, 3),
+    "x:repl": (1, True, 3),
+    "2x:repl": (2, True, 3),
+    "x_half:norepl": (0.5, False, 6),
+    "x_half:repl": (0.5, True, 6),
+    "x_third_disjoint:nointer": (None, False, 6),
+}
 
 # fixed child-stream ids inside make_semi_split
 _STREAM_FOLDS = 0
@@ -86,28 +95,6 @@ class SemiSplit:
         total = len(self.labeled_idx) + len(self.unlabeled_idx) + len(self.test_idx)
         if len(sets[0] | sets[1] | sets[2]) != total:
             raise DataError("split index sets overlap")
-
-
-@dataclass
-class SamplingStrategy:
-    """Bootstrap size/replacement policy for the three-model initial fits."""
-
-    size_mode: str = "x"
-    with_replacement: bool = False
-
-    def __post_init__(self):
-        if self.size_mode not in SIZE_MODES:
-            raise ConfigError(f"unknown size_mode {self.size_mode!r}, expected one of {SIZE_MODES}")
-        if self.size_mode == "x_third_disjoint" and self.with_replacement:
-            raise ConfigError("x_third_disjoint requires with_replacement=False")
-        if self.size_mode == "2x" and not self.with_replacement:
-            raise ConfigError("2x draws exceed the pool; with_replacement must be True")
-
-    def label(self):
-        repl = {"x_third_disjoint": "nointer"}.get(self.size_mode)
-        if repl is None:
-            repl = "repl" if self.with_replacement else "norepl"
-        return f"{self.size_mode}+{repl}"
 
 
 def load_csv(path):
@@ -182,7 +169,8 @@ def _stratified_fold_of(ds: Dataset, n_folds, rng: Rng):
     for c in range(ds.n_classes):
         ids = np.where(ds.labels == c)[0]
         if len(ids) < n_folds:
-            raise DataError(f"class {c} has {len(ids)} samples, fewer than {n_folds} folds")
+            raise DataError(f"dataset {ds.name!r}: class {c} has {len(ids)} samples, "
+                            f"fewer than {n_folds} folds")
         perm = ids[rng.child(c).permutation(len(ids))]
         for f, chunk in enumerate(np.array_split(perm, n_folds)):
             fold_of[chunk] = f
@@ -258,28 +246,25 @@ def split_features(ds: Dataset):
     return (0, half), (half, ds.d)
 
 
-def bootstrap_sample(labeled_idx, strategy: SamplingStrategy, model_slot, rng: Rng):
+def bootstrap_sample(labeled_idx, mode, model_slot, rng: Rng):
     """Initial-training sample for one of the three model slots.
 
-    Sizes per mode: x, 2x, floor(x/2); ``x_third_disjoint`` splits one shared
-    permutation of the pool into three disjoint slices (sizes within 1 of
-    x/3) so the slots partition the labeled set.
+    ``mode`` is a key of ``SAMPLING_MODES``. Sizes are x, 2x or floor(x/2);
+    the disjoint mode splits one shared permutation of the pool into three
+    slices (sizes within 1 of x/3) so the slots partition the labeled set.
     """
+    size, replace, min_labeled = SAMPLING_MODES[mode]
     labeled_idx = np.asarray(labeled_idx)
     x = len(labeled_idx)
-    if x < 3:
-        raise ValueError(f"need at least 3 labeled samples, got {x}")
+    if x < min_labeled:
+        raise ValueError(f"{mode} needs at least {min_labeled} labeled samples, got {x}")
     if not 0 <= model_slot <= 2:
         raise ValueError(f"model_slot must be 0..2, got {model_slot}")
-    if strategy.size_mode in ("x_half", "x_third_disjoint") and x < 6:
-        raise ValueError(f"{strategy.size_mode} needs x >= 6, got {x}")
 
-    if strategy.size_mode == "x_third_disjoint":
+    if size is None:
         # same permutation for every slot: derived from the parent, not drawn
         perm = labeled_idx[rng.child(3).permutation(x)]
         return np.array_split(perm, 3)[model_slot]
 
-    size = {"x": x, "2x": 2 * x, "x_half": x // 2}[strategy.size_mode]
-    slot_rng = rng.child(model_slot)
-    picks = slot_rng.choice(x, size, replace=strategy.with_replacement)
+    picks = rng.child(model_slot).choice(x, int(size * x), replace=replace)
     return labeled_idx[picks]

@@ -30,17 +30,18 @@ re-initializes before each retraining instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import TrainConfig, fit, forward, init_model, predict
-from .dataset import Dataset, SamplingStrategy, SemiSplit, bootstrap_sample, split_features
+from .dataset import SAMPLING_MODES, Dataset, SemiSplit, bootstrap_sample, split_features
 from .errors import ConfigError
 
 ALGORITHMS = ("TBST", "CBST", "CT", "TT", "TTWD")
 EVAL_MODES = ("ensemble", "best_single")
 _SELF_TRAINING = ("TBST", "CBST")
+TRI_TRAINING = ("TT", "TTWD")  # the algorithms whose models start from bootstrap samples
 
 # engine-internal child-stream ids
 _STREAM_BOOTSTRAP = 90
@@ -55,7 +56,7 @@ class SslConfig:
     count_hi: int = 100
     max_iterations: int = 20
     fresh_model_each_iteration: bool = False
-    sampling: SamplingStrategy = field(default_factory=SamplingStrategy)
+    sampling: str = "x:norepl"  # a key of dataset.SAMPLING_MODES (TT/TTWD)
     eval_mode: str = "ensemble"
 
     def __post_init__(self):
@@ -69,6 +70,9 @@ class SslConfig:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.eval_mode not in EVAL_MODES:
             raise ConfigError(f"unknown eval_mode {self.eval_mode!r}, expected one of {EVAL_MODES}")
+        if self.sampling not in SAMPLING_MODES:
+            raise ConfigError(f"unknown sampling mode {self.sampling!r}, "
+                              f"expected one of {', '.join(SAMPLING_MODES)}")
 
 
 @dataclass
@@ -246,7 +250,7 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
     d_x, d_y = ds.features[split.labeled_idx], ds.labels[split.labeled_idx]
     u_x = ds.features[split.unlabeled_idx]
     test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
-    if cfg.algorithm in ("TT", "TTWD"):
+    if cfg.algorithm in TRI_TRAINING:
         boot_rng = rng.child(_STREAM_BOOTSTRAP)
         samples = (bootstrap_sample(split.labeled_idx, cfg.sampling, s, boot_rng) for s in range(3))
         initial = ((ds.features[i], ds.labels[i]) for i in samples)

@@ -56,12 +56,6 @@ class Rng:
             return float(self._gen.uniform(lo, hi))
         return self._gen.uniform(lo, hi, n)
 
-    def integers(self, lo, hi, n=None):
-        """n draws from {lo, ..., hi-1}."""
-        if not lo < hi:
-            raise ValueError(f"integers needs lo < hi, got lo={lo} hi={hi}")
-        return self._gen.integers(lo, hi, n)
-
     def normal(self, mu, sigma, n=None):
         return self._gen.normal(mu, sigma, n)
 

@@ -18,6 +18,7 @@ intentionally non-deterministic column.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import time
@@ -25,10 +26,11 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 
 from .classifier import TrainConfig
-from .dataset import Dataset, check_log_field, make_semi_split
-from .engine import SslConfig, run_algorithm, run_supervised
+from .dataset import SAMPLING_MODES, Dataset, check_log_field, make_semi_split
+from .engine import TRI_TRAINING, SslConfig, run_algorithm, run_supervised
 from .errors import ConfigError, DataError, ProtocolError
 from .numerics import Rng
+from .stats import ALPHA, paired_t_test
 
 BASELINE_ALGORITHMS = ("oracle", "supervised")
 
@@ -81,6 +83,9 @@ class ExperimentGrid:
             raise ConfigError("grid needs at least one dataset")
         if not self.algorithms:
             raise ConfigError("grid needs at least one algorithm")
+        if any(e.algorithm == "oracle" for e in self.algorithms):
+            raise ConfigError("the Oracle row is requested by include_oracle, "
+                              "not by an entry in algorithms")
         # runs, splits and table cells key on these
         for what, names in (("dataset names", [ds.name for ds in self.datasets]),
                             ("row labels", [e.row_label() for e in self.algorithms])):
@@ -164,17 +169,14 @@ def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: Ex
 def enumerate_runs(grid: ExperimentGrid):
     """Run descriptors in canonical order: oracle block, then rate blocks."""
     runs = []
-    oracle = [e for e in grid.algorithms if e.algorithm == "oracle"]
-    if grid.include_oracle and not oracle:
-        oracle = [AlgorithmEntry("oracle")]
-    others = [e for e in grid.algorithms if e.algorithm != "oracle"]
-    for entry in oracle:
+    if grid.include_oracle:
+        oracle = AlgorithmEntry("oracle")
         for ds in grid.datasets:
             for fold in range(grid.n_folds):
                 for trial in range(grid.n_seeds):
-                    runs.append((ds, 0.0, entry, fold, trial))
+                    runs.append((ds, 0.0, oracle, fold, trial))
     for rate in grid.unlabeled_rates:
-        for entry in others:
+        for entry in grid.algorithms:
             for ds in grid.datasets:
                 for fold in range(grid.n_folds):
                     for trial in range(grid.n_seeds):
@@ -183,7 +185,12 @@ def enumerate_runs(grid: ExperimentGrid):
 
 
 def check_plan(grids, jobs=1):
-    """Raise ``ConfigError`` for a plan that cannot run, before any training."""
+    """Raise ``ConfigError`` or ``DataError`` for a plan that cannot run, before any training.
+
+    Makes the split of every (dataset, rate, fold) the plan trains on, checks
+    that each tri-training row's sampling mode has the labeled samples it
+    needs there, and returns the splits as a cache for ``_shared_split``.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     named, studies = {}, set()
@@ -196,11 +203,22 @@ def check_plan(grids, jobs=1):
             if named.setdefault(ds.name, ds) is not ds:
                 raise ConfigError(f"two different datasets are named {ds.name!r}; "
                                   f"runs and tables key on the name")
-        if any(e.algorithm == "CT" for e in grid.algorithms):
-            for ds in grid.datasets:
-                if ds.d < 2:
-                    raise ConfigError(f"study {grid.study!r}: CT splits the features in "
-                                      f"two, but dataset {ds.name!r} has d={ds.d}")
+    splits = {}
+    for grid in grids:
+        for ds, rate, entry, fold, _ in enumerate_runs(grid):
+            if entry.algorithm == "CT" and ds.d < 2:
+                raise ConfigError(f"study {grid.study!r}: CT splits the features in "
+                                  f"two, but dataset {ds.name!r} has d={ds.d}")
+            split = _shared_split(splits, ds, rate, fold, grid)
+            # an empty U runs supervised, with no bootstrap sample
+            if entry.algorithm in TRI_TRAINING and len(split.unlabeled_idx):
+                x, need = len(split.labeled_idx), SAMPLING_MODES[entry.ssl.sampling][2]
+                if x < need:
+                    raise ConfigError(f"study {grid.study!r}: row {entry.row_label()!r} samples "
+                                      f"{entry.ssl.sampling}, which needs {need} labeled "
+                                      f"samples, but dataset {ds.name!r} at rate {rate!r} "
+                                      f"fold {fold} has {x}")
+    return splits
 
 
 # BLAS pools the workers would otherwise start, each as wide as the machine
@@ -295,14 +313,14 @@ def run_grid(grids, jobs=1, progress=None):
     algorithm, config, fold, trial, training config, folds and base seed),
     executes once and is re-labeled ``<study>/<detail>`` per requesting row.
     Its seeds never involve the study, so a shared run is bit-identical to one
-    executed twice. The runs of one (dataset, rate, fold) share one split,
-    made once per process. With ``jobs > 1`` the distinct runs execute in up to
-    ``jobs`` worker processes; ``progress`` is called here, once per executed
-    run, in canonical order. Any run failure aborts with a diagnostic naming
+    executed twice. The runs of one (dataset, rate, fold) share one split: the
+    one ``check_plan`` made, or on the pool path one per worker. With
+    ``jobs > 1`` the distinct runs execute in up to ``jobs`` worker processes;
+    ``progress`` is called here, once per executed run, in canonical order. Any run failure aborts with a diagnostic naming
     the cell.
     """
     _check_not_bootstrapping()
-    check_plan(grids, jobs)
+    splits = check_plan(grids, jobs)
     descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
 
     # dedupe, execute each distinct run once, then relabel per requesting entry
@@ -322,7 +340,6 @@ def run_grid(grids, jobs=1, progress=None):
 
     workers = min(jobs, len(runs))
     if workers == 1:
-        splits = {}
         for desc in runs:
             done(_run_descriptor(desc, splits))
     else:
@@ -352,13 +369,17 @@ def parse_log(text, source="run log"):
         if len(parts) != 9:
             raise DataError(f"{source}:{lineno}: expected 9 fields, got {len(parts)}")
         try:
+            rate, acc, wall_ms = float(parts[1]), float(parts[6]), float(parts[8])
             results.append(RunResult(
-                dataset=parts[0], rate=float(parts[1]), algorithm=parts[2], variant=parts[3],
-                fold=int(parts[4]), trial=int(parts[5]), max_test_acc=float(parts[6]),
-                iterations=int(parts[7]), wall_ms=float(parts[8]),
+                dataset=parts[0], rate=rate, algorithm=parts[2], variant=parts[3],
+                fold=int(parts[4]), trial=int(parts[5]), max_test_acc=acc,
+                iterations=int(parts[7]), wall_ms=wall_ms,
             ))
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: {exc}")
+        if not (0.0 <= rate < 1.0 and math.isfinite(acc) and math.isfinite(wall_ms)):
+            raise DataError(f"{source}:{lineno}: need a rate in [0, 1) and finite max_test_acc "
+                            f"and wall_ms, got {parts[1]}, {parts[6]} and {parts[8]}")
         if "/" not in parts[3]:
             raise DataError(f"{source}:{lineno}: variant {parts[3]!r} lacks a study prefix")
     return results
@@ -392,7 +413,7 @@ class ComparisonTable:
     cells: dict  # (row_label, dataset) -> CellResult
 
 
-def tables_from_results(results, alpha=0.10):
+def tables_from_results(results, alpha=ALPHA):
     """Group run results into one ComparisonTable per (study, rate block).
 
     Oracle runs (rate 0) attach as the leading row of every rate block of
@@ -439,10 +460,8 @@ def tables_from_results(results, alpha=0.10):
     return tables
 
 
-def mark_significance(table: ComparisonTable, alpha=0.10):
+def mark_significance(table: ComparisonTable, alpha=ALPHA):
     """Mark each SSL cell better/worse/none against the matched Supervised cell."""
-    from .stats import paired_t_test
-
     if "Supervised" not in table.row_labels:
         raise ProtocolError(f"table {table.study}@{table.rate} has no Supervised row to compare")
     for label in table.row_labels:

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .classifier import TrainConfig
-from .dataset import SamplingStrategy, load_csv
+from .dataset import load_csv
 from .engine import ALGORITHMS, SslConfig
 from .errors import ConfigError
 from .protocol import AlgorithmEntry, ExperimentGrid
-
-_MODE_TOKENS = {"repl": True, "norepl": False, "nointer": False}
 
 
 @dataclass
@@ -47,16 +45,6 @@ def _bool(raw):
     if raw.lower() not in states:
         raise ValueError(f"expected true or false, got {raw!r}")
     return states[raw.lower()]
-
-
-def parse_sampling_mode(token):
-    """``<size_mode>:<repl|norepl|nointer>`` -> SamplingStrategy."""
-    if ":" not in token:
-        raise ConfigError(f"sampling mode {token!r} must look like 'x:norepl' or '2x:repl'")
-    size, repl = token.split(":", 1)
-    if repl not in _MODE_TOKENS:
-        raise ConfigError(f"unknown replacement token {repl!r} in sampling mode {token!r}")
-    return SamplingStrategy(size_mode=size.strip(), with_replacement=_MODE_TOKENS[repl])
 
 
 def _pairs(raw, cast):
@@ -97,13 +85,13 @@ STUDY_KEYS = {
     "count_hi": ("ssl", "count_hi", int),
     "max_iterations": ("ssl", "max_iterations", int),
     "fresh_model": ("ssl", "fresh_model_each_iteration", _bool),
-    "sampling": ("ssl", "sampling", parse_sampling_mode),
+    "sampling": ("ssl", "sampling", str),
     "eval": ("ssl", "eval_mode", str),
 }
 # the one list key of a study kind; "study" "rows" are (detail, SslConfig overrides)
 LIST_KEYS = {
-    "modes": ("study", "rows", lambda raw: [(mode.label(), {"sampling": mode})
-                                            for mode in map(parse_sampling_mode, _split_list(raw))]),
+    "modes": ("study", "rows", lambda raw: [(mode.replace(":", "+"), {"sampling": mode})
+                                            for mode in _split_list(raw)]),
     "pairs": ("study", "rows", lambda raw: [(f"t{t1:g}-{t2:g}", {"tau1": t1, "tau2": t2})
                                             for t1, t2 in _pairs(raw, float)]),
     "windows": ("study", "rows", lambda raw: [(f"c{lo}-{hi}", {"count_lo": lo, "count_hi": hi})
@@ -175,6 +163,9 @@ def _study_grid(study_name, items, datasets, common, train):
     names = study.get("algorithms", list(kind.algorithms) if len(kind.algorithms) == 1 else [])
     if not names and kind.algorithms:
         raise ConfigError("algorithms: empty algorithm list")
+    # each row's config is checked even when the study names no SSL algorithm
+    rows = [(detail, SslConfig(kind.algorithms[0], **{**values["ssl"], **overrides}))
+            for detail, overrides in study.get("rows", kind.rows)] if kind.algorithms else []
     entries = [AlgorithmEntry("supervised")]
     for name in names:
         if name == "supervised":
@@ -182,9 +173,8 @@ def _study_grid(study_name, items, datasets, common, train):
         if name not in kind.algorithms:
             raise ConfigError(f"algorithms: a {kind_name} study runs "
                               f"{', '.join(kind.algorithms) or 'only supervised'}, got {name!r}")
-        for detail, overrides in study.get("rows", kind.rows):
-            ssl = SslConfig(name, **{**values["ssl"], **overrides})
-            entries.append(AlgorithmEntry(name, ssl, detail=detail))
+        entries += [AlgorithmEntry(name, replace(ssl, algorithm=name), detail=detail)
+                    for detail, ssl in rows]
     return ExperimentGrid(datasets=datasets, algorithms=entries, train=train, study=study_name,
                           **{"include_oracle": kind.oracle, **common, **values["grid"]})
 

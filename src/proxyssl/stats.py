@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+ALPHA = 0.10  # significance level of the paired t-test, for run and report alike
+
 
 def _betacf(a, b, x, max_iter=300, eps=1e-15):
     """Continued fraction for the incomplete beta (modified Lentz)."""
@@ -87,7 +89,7 @@ class TTestResult:
     degenerate: bool = False
 
 
-def paired_t_test(a, b, alpha=0.10):
+def paired_t_test(a, b, alpha=ALPHA):
     """Two-tailed paired t-test on matched result vectors.
 
     Entries must be ordered identically in both vectors (same fold/trial per

@@ -166,7 +166,7 @@ def test_adam_single_step_oracle():
 
 def test_selection_oracles():
     """Threshold and count selection agree exactly with brute force, 1000 vectors."""
-    rng = Rng(501)
+    rng = np.random.default_rng(501)
     for trial in range(1000):
         n = int(rng.integers(1, 120))
         conf = np.round(rng.uniform(0.0, 1.0, n), 2)  # rounding forces ties

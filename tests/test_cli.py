@@ -1,14 +1,15 @@
+import inspect
 import json
 import os
 import random
 
 import pytest
 
-from proxyssl import protocol
-from proxyssl.cli import main
-from proxyssl.dataset import save_csv
+from proxyssl import protocol, stats
+from proxyssl.cli import build_parser, main, write_report
+from proxyssl.dataset import SAMPLING_MODES, save_csv
 from proxyssl.errors import ConfigError
-from proxyssl.specfile import STUDY_KINDS, parse_sampling_mode, parse_spec
+from proxyssl.specfile import STUDY_KINDS, parse_spec
 from proxyssl.synthetic import make_blobs
 
 
@@ -143,11 +144,12 @@ class TestSpecParsing:
                           "out_dir = results%1\n[study s]\nalgorithms = supervised\n")
         assert parse_spec(spec).out_dir == "results%1"
 
-    def test_mode_token_errors(self):
-        with pytest.raises(ConfigError):
-            parse_sampling_mode("x")
-        with pytest.raises(ConfigError):
-            parse_sampling_mode("x:maybe")
+    def test_mode_token_errors(self, tmp_path, data_file):
+        for token in ("x", "x:maybe"):
+            spec = write_spec(tmp_path, data_file, "[study samp]\nkind = sampling\nrates = 0.9\n"
+                                                   f"algorithms = TT\nmodes = {token}\n")
+            with pytest.raises(ConfigError, match="unknown sampling mode"):
+                parse_spec(spec)
 
 
 class TestRunAndReport:
@@ -232,6 +234,63 @@ class TestRunAndReport:
                      for ds, rate, entry, fold, trial in protocol.enumerate_runs(grid)]
         assert len(executed) == len(set(requested)) < len(requested)
         assert len((out / "run_log.csv").read_text().splitlines()) == len(requested)
+
+    def test_each_sampling_mode_logs_its_label(self, tmp_path, data_file):
+        spec = write_spec(tmp_path, data_file,
+                          "[study samp]\nkind = sampling\nrates = 0.9\nmax_iterations = 1\n"
+                          f"algorithms = TT\nmodes = {', '.join(SAMPLING_MODES)}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        variants = {line.split(",")[3] for line in (out / "run_log.csv").read_text().splitlines()}
+        assert variants == {"samp/std"} | {"samp/" + mode.replace(":", "+")
+                                           for mode in SAMPLING_MODES}
+
+    @pytest.mark.parametrize("key", ["modes", "sampling"])
+    @pytest.mark.parametrize("token", ["x:nointer", "x_third_disjoint:norepl", "2x:norepl",
+                                       "x_third_disjoint:repl", "4x:repl"])
+    def test_unknown_sampling_mode_exit_2_before_training(self, tmp_path, data_file, capsys,
+                                                          monkeypatch, key, token):
+        kind = "sampling" if key == "modes" else "baselines"
+        spec = write_spec(tmp_path, data_file, f"[study s]\nkind = {kind}\nrates = 0.9\n"
+                                               f"algorithms = TT\n{key} = {token}\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown sampling mode {token!r}" in err
+        assert f"expected one of {', '.join(SAMPLING_MODES)}" in err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_labeled_for_sampling_mode_exit_2_before_training(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # 4 of 40 training samples stay labeled at rate 0.95: enough for x, not for x_half
+        data = tmp_path / "four.csv"
+        save_csv(make_blobs("four", n=60, d=8, n_classes=4, separation=4.0, seed=1), data)
+        spec = write_spec(tmp_path, data, "[study s]\nkind = sampling\nrates = 0.95\n"
+                                          "algorithms = TT\nmodes = x:norepl, x_half:repl\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'TT x_half+repl'" in err and "needs 6 labeled samples" in err and "has 4" in err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_more_folds_than_class_samples_exit_1_before_training(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        data = tmp_path / "few.csv"
+        save_csv(make_blobs("few", n=30, d=4, n_classes=2, separation=4.0, seed=1), data)
+        spec = tmp_path / "folds.ini"
+        spec.write_text(f"[global]\ndatasets = {data}\nn_folds = 20\nn_seeds = 1\n"
+                        "[study s]\nrates = 0.5\nalgorithms = supervised\n", encoding="utf-8")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "dataset 'few'" in err and "fewer than 20 folds" in err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_study_name_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                         monkeypatch):
@@ -360,14 +419,17 @@ class TestRunAndReport:
          "[study s]", "include_oracle"),
         ("", "[study s]\nalgorithms = supervised, TBST, TBST\n", "[study s]", "TBST"),
         ("", "[study s]\nrates = 0.9, 0.90\nalgorithms = supervised\n", "[study s]", "rates"),
+        ("", "[study s]\nkind = sampling\nalgorithms = supervised\nmodes = x:norepl, bogus\n",
+         "[study s]", "bogus"),
+        ("", "[study s]\nalgorithms = supervised\ntau1 = 2\n", "[study s]", "tau1"),
         ("learning_rate = nan\n", "[study s]\nalgorithms = supervised\n", "[global]",
          "learning_rate"),
         ("learning_rate = inf\n", "[study s]\nalgorithms = supervised\n", "[global]",
          "learning_rate"),
     ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
             "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
-            "bad-boolean", "repeated-algorithm", "repeated-rate", "learning_rate-nan",
-            "learning_rate-inf"])
+            "bad-boolean", "repeated-algorithm", "repeated-rate", "unused-mode", "unused-tau1",
+            "learning_rate-nan", "learning_rate-inf"])
     def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                        monkeypatch, global_extra, body,
                                                        section, key):
@@ -407,12 +469,31 @@ class TestRunAndReport:
         assert main(["report", str(tmp_path / "absent.csv"), "--alpha", alpha]) == 2
         assert "--alpha" in capsys.readouterr().err
 
+    def test_one_significance_level(self):
+        for fn in (stats.paired_t_test, protocol.tables_from_results,
+                   protocol.mark_significance, write_report):
+            assert inspect.signature(fn).parameters["alpha"].default == stats.ALPHA
+        assert build_parser().parse_args(["report", "log.csv"]).alpha == stats.ALPHA
+
     def test_repeated_run_in_a_cell_exit_1(self, tmp_path, capsys):
         lines = [f"mini,0.9,{alg},s/std,0,0,50.0,0,1.000" for alg in ("supervised", "TBST")]
         log = tmp_path / "twice.csv"
         log.write_text("\n".join(lines + lines[1:]) + "\n", encoding="utf-8")
         assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
         assert "more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [(1, "nan"), (1, "inf"), (1, "1.0"), (1, "-0.5"),
+                                              (6, "nan"), (6, "-inf"), (8, "nan")])
+    def test_non_finite_log_value_exit_1(self, tmp_path, capsys, field, value):
+        lines = [f"mini,0.9,{alg},s/std,0,{trial},{50.0 + trial},0,1.000"
+                 for alg in ("supervised", "TBST") for trial in range(2)]
+        parts = lines[3].split(",")
+        parts[field] = value
+        log = tmp_path / "bad.csv"
+        log.write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n", encoding="utf-8")
+        assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
+        assert "bad.csv:4: need a rate in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_corrupt_log_exit_1(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"

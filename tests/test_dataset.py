@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from proxyssl.dataset import (
+    SAMPLING_MODES,
     Dataset,
-    SamplingStrategy,
     bootstrap_sample,
     load_csv,
     make_semi_split,
@@ -13,6 +13,7 @@ from proxyssl.dataset import (
     save_csv,
     split_features,
 )
+from proxyssl.engine import SslConfig
 from proxyssl.errors import ConfigError, DataError
 from proxyssl.numerics import Rng
 from proxyssl.synthetic import make_blobs
@@ -207,22 +208,30 @@ class TestSplitFeatures:
 
 class TestSamplingStrategy:
     def test_disjoint_forces_no_replacement(self):
-        with pytest.raises(ConfigError):
-            SamplingStrategy("x_third_disjoint", with_replacement=True)
+        for mode in ("x_third_disjoint:repl", "x_third_disjoint:norepl"):
+            with pytest.raises(ConfigError, match="x_third_disjoint:nointer"):
+                SslConfig("TT", sampling=mode)
 
     def test_double_requires_replacement(self):
-        with pytest.raises(ConfigError):
-            SamplingStrategy("2x", with_replacement=False)
+        with pytest.raises(ConfigError, match="2x:repl"):
+            SslConfig("TT", sampling="2x:norepl")
 
     def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            SamplingStrategy("4x", with_replacement=True)
+        for mode in ("4x:repl", "x:nointer", "x", "x+norepl", " x:norepl"):
+            with pytest.raises(ConfigError, match="unknown sampling mode"):
+                SslConfig("TT", sampling=mode)
+
+    def test_six_modes(self):
+        assert list(SAMPLING_MODES) == ["x:norepl", "x:repl", "2x:repl", "x_half:norepl",
+                                        "x_half:repl", "x_third_disjoint:nointer"]
+        for mode in SAMPLING_MODES:
+            assert SslConfig("TTWD", sampling=mode).sampling == mode
 
 
 class TestBootstrapSample:
     def test_disjoint_thirds_partition(self):
         pool = np.arange(100, 199)  # x = 99
-        slots = [bootstrap_sample(pool, SamplingStrategy("x_third_disjoint"), s, Rng(5))
+        slots = [bootstrap_sample(pool, "x_third_disjoint:nointer", s, Rng(5))
                  for s in range(3)]
         assert all(len(s) == 33 for s in slots)
         merged = np.sort(np.concatenate(slots))
@@ -230,45 +239,43 @@ class TestBootstrapSample:
 
     def test_disjoint_thirds_partition_non_divisible(self):
         pool = np.arange(100)
-        slots = [bootstrap_sample(pool, SamplingStrategy("x_third_disjoint"), s, Rng(6))
+        slots = [bootstrap_sample(pool, "x_third_disjoint:nointer", s, Rng(6))
                  for s in range(3)]
         assert sorted(len(s) for s in slots) == [33, 33, 34]
         assert np.array_equal(np.sort(np.concatenate(slots)), pool)
 
     def test_double_with_replacement(self):
         pool = np.arange(100)
-        out = bootstrap_sample(pool, SamplingStrategy("2x", with_replacement=True), 0, Rng(7))
+        out = bootstrap_sample(pool, "2x:repl", 0, Rng(7))
         assert len(out) == 200
         assert set(out.tolist()) <= set(pool.tolist())
 
     def test_double_always_has_duplicates(self):
         pool = np.arange(10)
-        strat = SamplingStrategy("2x", with_replacement=True)
         hits = 0
         for trial in range(100):
-            out = bootstrap_sample(pool, strat, 0, Rng(trial))
+            out = bootstrap_sample(pool, "2x:repl", 0, Rng(trial))
             hits += len(set(out.tolist())) < len(out)
         assert hits == 100  # 2x draws from x items must repeat something
 
     def test_x_without_replacement_is_permutation(self):
         pool = np.arange(50, 90)
-        out = bootstrap_sample(pool, SamplingStrategy("x"), 1, Rng(8))
+        out = bootstrap_sample(pool, "x:norepl", 1, Rng(8))
         assert np.array_equal(np.sort(out), pool)
 
     def test_half_size(self):
         pool = np.arange(25)
-        out = bootstrap_sample(pool, SamplingStrategy("x_half", with_replacement=True), 2, Rng(9))
+        out = bootstrap_sample(pool, "x_half:repl", 2, Rng(9))
         assert len(out) == 12
 
     def test_slots_differ(self):
         pool = np.arange(40)
-        strat = SamplingStrategy("x", with_replacement=True)
-        a = bootstrap_sample(pool, strat, 0, Rng(10))
-        b = bootstrap_sample(pool, strat, 1, Rng(10))
+        a = bootstrap_sample(pool, "x:repl", 0, Rng(10))
+        b = bootstrap_sample(pool, "x:repl", 1, Rng(10))
         assert not np.array_equal(a, b)
 
     def test_small_pool_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_sample(np.arange(5), SamplingStrategy("x_half", with_replacement=True), 0, Rng(1))
-        with pytest.raises(ValueError):
-            bootstrap_sample(np.arange(2), SamplingStrategy("x"), 0, Rng(1))
+        with pytest.raises(ValueError, match="at least 6"):
+            bootstrap_sample(np.arange(5), "x_half:repl", 0, Rng(1))
+        with pytest.raises(ValueError, match="at least 3"):
+            bootstrap_sample(np.arange(2), "x:norepl", 0, Rng(1))

@@ -5,7 +5,7 @@ import pytest
 
 from proxyssl import classifier, engine
 from proxyssl.classifier import TrainConfig, fit
-from proxyssl.dataset import SamplingStrategy, make_semi_split
+from proxyssl.dataset import make_semi_split
 from proxyssl.engine import (
     SslConfig,
     majority_vote,
@@ -44,7 +44,7 @@ class TestSelectByThreshold:
             SslConfig("TBST", tau1=0.9, tau2=0.9)
 
     def test_matches_brute_force(self):
-        rng = Rng(77)
+        rng = np.random.default_rng(77)
         for trial in range(50):
             conf = rng.uniform(0, 1, 40)
             labels = rng.integers(0, 4, 40)
@@ -87,7 +87,7 @@ class TestSelectByCount:
         assert sorted(batch.indices.tolist()) == [0, 1, 3]
 
     def test_matches_brute_force(self):
-        rng = Rng(81)
+        rng = np.random.default_rng(81)
         for trial in range(50):
             n = int(rng.integers(5, 60))
             conf = np.round(rng.uniform(0, 1, n), 2)  # ties likely
@@ -191,18 +191,17 @@ class TestMajorityVote:
         return out
 
     def test_matches_loop_oracle_randomized(self):
-        rng = Rng(57)
         for trial in range(200):
-            r = rng.child(trial)
+            r = np.random.default_rng([57, trial])
             n, c = int(r.integers(0, 40)), int(r.integers(3, 7))
-            preds = [r.child(i).integers(0, c, n) for i in range(3)]
+            preds = [r.integers(0, c, n) for _ in range(3)]
             # force three-way splits on a share of the rows
-            split = r.child(3).uniform(0, 1, n) < 0.4
-            three = r.child(4).permutation(c)[:3]
+            split = r.uniform(0, 1, n) < 0.4
+            three = r.permutation(c)[:3]
             for i in range(3):
                 preds[i][split] = three[i]
             # coarse probabilities make equal summed scores (ties) common
-            probs = [np.round(r.child(5 + i).uniform(0, 1, (n, c)), 1) for i in range(3)]
+            probs = [np.round(r.uniform(0, 1, (n, c)), 1) for _ in range(3)]
             if trial % 4 == 0:
                 probs = [np.full((n, c), 1.0 / c)] * 3  # every split is a tie
             got = majority_vote(preds, probs)
@@ -334,8 +333,7 @@ class TestTriTraining:
     def test_sampling_strategies_change_outcome(self):
         ds, split = blob_split()
         base = SslConfig("TT", max_iterations=1)
-        boot = SslConfig("TT", max_iterations=1,
-                         sampling=SamplingStrategy("x_half", with_replacement=True))
+        boot = SslConfig("TT", max_iterations=1, sampling="x_half:repl")
         a = run_algorithm(ds, split, base, FAST, Rng(32))
         b = run_algorithm(ds, split, boot, FAST, Rng(32))
         assert a.iteration_accuracy != b.iteration_accuracy

@@ -14,7 +14,7 @@ import pytest
 import proxyssl
 from proxyssl import protocol
 from proxyssl.classifier import TrainConfig
-from proxyssl.dataset import SamplingStrategy, make_semi_split
+from proxyssl.dataset import make_semi_split
 from proxyssl.engine import SslConfig, run_supervised
 from proxyssl.errors import ConfigError, DataError, ProtocolError
 from proxyssl.numerics import Rng
@@ -66,14 +66,13 @@ class TestDeriveSeed:
 def failing_grid():
     """Three TT runs that each fail with a diagnostic naming their cell."""
     ds = make_blobs("tiny", n=9, d=4, n_classes=3, separation=3.0, seed=5)
-    # class size 3 equals folds, so masking at a high rate still works,
-    # but TT bootstrap x_half needs x >= 6 and the labeled pool is 2
-    half = SamplingStrategy("x_half", with_replacement=True)
+    # the plan passes check_plan, but a step size of 1e300 makes the weights non-finite
     return ExperimentGrid(
         datasets=[ds],
-        algorithms=[AlgorithmEntry("TT", SslConfig("TT", sampling=half))],
+        algorithms=[AlgorithmEntry("TT", SslConfig("TT"))],
         unlabeled_rates=[0.5],
-        n_folds=3, n_seeds=1, base_seed=1, train=FAST, include_oracle=False)
+        n_folds=3, n_seeds=1, base_seed=1, include_oracle=False,
+        train=TrainConfig(epochs=2, batch_size=32, learning_rate=1e300))
 
 
 class TestRunGrid:
@@ -253,6 +252,12 @@ class TestRunGrid:
         ds = make_blobs("mini", n=60, d=4, n_classes=2, separation=4.0, seed=3)
         with pytest.raises(ConfigError):
             ExperimentGrid(datasets=[ds], algorithms=[], unlabeled_rates=[0.9])
+
+    def test_oracle_entry_rejected(self):
+        # include_oracle is the one switch for the Oracle row
+        with pytest.raises(ConfigError, match="include_oracle"):
+            small_grid(algorithms=[AlgorithmEntry("supervised"), AlgorithmEntry("oracle")],
+                       include_oracle=False)
 
     def test_repeated_rate_rejected(self):
         # each run of a repeated rate would be logged, and t-tested, twice
