@@ -35,6 +35,7 @@ from .protocol import (
     ComparisonTable,
     ExperimentGrid,
     RunResult,
+    check_plan,
     mark_significance,
     run_grid,
     tables_from_results,
@@ -49,7 +50,7 @@ __all__ = [
     "Dataset", "ExperimentGrid", "MlpModel", "NumericError",
     "ProtocolError", "ProxySslError", "PseudoLabelBatch", "Rng", "RunRecord",
     "RunResult", "SemiSplit", "ShapeError", "SslConfig",
-    "SslOutcome", "TrainConfig", "bootstrap_sample", "fit", "init_model",
+    "SslOutcome", "TrainConfig", "bootstrap_sample", "check_plan", "fit", "init_model",
     "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
     "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm",
     "run_grid", "run_supervised", "save_csv", "select_by_count", "select_by_threshold",

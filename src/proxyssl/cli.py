@@ -146,9 +146,9 @@ def write_report(results, out_dir, alpha=ALPHA):
 def cmd_run(args):
     spec = parse_spec(args.spec)
     # a config error leaves no output directory; an unwritable one fails before training
-    check_plan(spec.grids, args.jobs)
+    plan = check_plan(spec.grids, args.jobs)
     out_dir = _resolve_out(args.out, spec.out_dir)
-    results = run_grid(spec.grids, jobs=args.jobs)
+    results = run_grid(plan, jobs=args.jobs)
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))

@@ -100,8 +100,9 @@ class SemiSplit:
 def load_csv(path):
     """Parse a dataset file; n_classes is inferred as max label + 1."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
+        # records end in "\n" only; str.splitlines also breaks at "\f", U+2028, ...
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("#"):
         raise DataError(f"{path}: missing '# name=... d=...' header line")
     header = {}
     for tok in lines[0].lstrip("#").split():

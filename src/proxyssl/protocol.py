@@ -24,6 +24,7 @@ import sys
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .classifier import TrainConfig
 from .dataset import SAMPLING_MODES, Dataset, check_log_field, make_semi_split
@@ -125,26 +126,8 @@ class RunResult:
         return self.variant.split("/", 1)[1]
 
 
-def _shared_split(splits, ds: Dataset, rate, fold, grid: ExperimentGrid):
-    """The split of (dataset, rate, fold), made once per ``splits`` cache, with read-only indices.
-
-    A cache serves one run_grid call, whose datasets have distinct names.
-    """
-    key = (ds.name, grid.base_seed, rate, fold, grid.n_folds)
-    split = splits.get(key)
-    if split is None:
-        split_rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
-        split = make_semi_split(ds, rate, fold, grid.n_folds, split_rng)
-        for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
-            idx.flags.writeable = False
-        splits[key] = split
-    return split
-
-
-def _execute_run(ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, grid: ExperimentGrid,
-                 splits):
+def _execute_run(grid, ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, split):
     rate_key = int(round(rate * 10**6))
-    split = _shared_split(splits, ds, rate, fold, grid)
     train_rng = Rng(derive_seed(grid.base_seed, "train", ds.name, rate_key,
                                 entry.algorithm, fold, trial))
     t0 = time.perf_counter()
@@ -184,13 +167,31 @@ def enumerate_runs(grid: ExperimentGrid):
     return runs
 
 
-def check_plan(grids, jobs=1):
-    """Raise ``ConfigError`` or ``DataError`` for a plan that cannot run, before any training.
+class Plan(NamedTuple):
+    """What ``run_grid`` executes: the distinct ``runs`` in first-request order, each
+    (grid, dataset, rate, entry, fold, trial, split), and per requested row in
+    canonical order, (index into ``runs``, "<study>/<detail>")."""
 
-    Makes the split of every (dataset, rate, fold) the plan trains on, checks
-    that each tri-training row's sampling mode has the labeled samples it
-    needs there, and returns the splits as a cache for ``_shared_split``.
-    """
+    runs: list
+    rows: list
+
+
+def _read_only(split):
+    for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
+        idx.flags.writeable = False
+    return split
+
+
+def check_plan(grids, jobs=1):
+    """The ``Plan`` of a spec's grids; raises ``ConfigError`` or ``DataError``
+    for a plan that cannot run, before any training.
+
+    Identical work requested twice, by one grid or by two (same dataset, rate,
+    algorithm, config, fold, trial, training config, folds and base seed),
+    becomes one run; its seeds never involve the study. The runs of one
+    (dataset, rate, fold) share its split, made here once with read-only
+    indices, where each tri-training row's sampling mode must find the labeled
+    samples it needs."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     named, studies = {}, set()
@@ -203,55 +204,67 @@ def check_plan(grids, jobs=1):
             if named.setdefault(ds.name, ds) is not ds:
                 raise ConfigError(f"two different datasets are named {ds.name!r}; "
                                   f"runs and tables key on the name")
-    splits = {}
+    runs, rows, index, splits = [], [], {}, {}
     for grid in grids:
-        for ds, rate, entry, fold, _ in enumerate_runs(grid):
-            if entry.algorithm == "CT" and ds.d < 2:
-                raise ConfigError(f"study {grid.study!r}: CT splits the features in "
-                                  f"two, but dataset {ds.name!r} has d={ds.d}")
-            split = _shared_split(splits, ds, rate, fold, grid)
-            # an empty U runs supervised, with no bootstrap sample
-            if entry.algorithm in TRI_TRAINING and len(split.unlabeled_idx):
-                x, need = len(split.labeled_idx), SAMPLING_MODES[entry.ssl.sampling][2]
-                if x < need:
-                    raise ConfigError(f"study {grid.study!r}: row {entry.row_label()!r} samples "
-                                      f"{entry.ssl.sampling}, which needs {need} labeled "
-                                      f"samples, but dataset {ds.name!r} at rate {rate!r} "
-                                      f"fold {fold} has {x}")
-    return splits
+        for ds, rate, entry, fold, trial in enumerate_runs(grid):
+            key = (ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
+                   repr(grid.train), grid.n_folds, grid.base_seed)
+            if key not in index:
+                if entry.algorithm == "CT" and ds.d < 2:
+                    raise ConfigError(f"study {grid.study!r}: CT splits the features in "
+                                      f"two, but dataset {ds.name!r} has d={ds.d}")
+                split_key = (ds.name, grid.base_seed, rate, fold, grid.n_folds)
+                if split_key not in splits:
+                    rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
+                    splits[split_key] = _read_only(make_semi_split(ds, rate, fold,
+                                                                   grid.n_folds, rng))
+                split = splits[split_key]
+                # an empty U runs supervised, with no bootstrap sample
+                if entry.algorithm in TRI_TRAINING and len(split.unlabeled_idx):
+                    x, need = len(split.labeled_idx), SAMPLING_MODES[entry.ssl.sampling][2]
+                    if x < need:
+                        raise ConfigError(f"study {grid.study!r}: row {entry.row_label()!r} "
+                                          f"samples {entry.ssl.sampling}, which needs {need} "
+                                          f"labeled samples, but dataset {ds.name!r} at rate "
+                                          f"{rate!r} fold {fold} has {x}")
+                index[key] = len(runs)
+                runs.append((grid, ds, rate, entry, fold, trial, split))
+            rows.append((index[key], f"{grid.study}/{entry.detail}"))
+    return Plan(runs, rows)
 
 
 # BLAS pools the workers would otherwise start, each as wide as the machine
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-_worker = None  # a pool worker's copy of the distinct run descriptors, and its split cache
+_worker_runs = None  # a pool worker's copy of the plan's runs
 
 _MAIN_GUARD = ('a script must call run_grid with jobs > 1 under `if __name__ == "__main__":`, '
               "since each worker process imports the script's main module as it starts")
 
 
 def _cell(desc):
-    _, ds, rate, entry, fold, trial = desc
+    _, ds, rate, entry, fold, trial, _ = desc
     return (f"dataset={ds.name} rate={rate} algorithm={entry.algorithm} "
             f"fold={fold} trial={trial}")
 
 
-def _run_descriptor(desc, splits):
-    grid, ds, rate, entry, fold, trial = desc
+def _run_descriptor(desc):
     try:
-        return _execute_run(ds, rate, entry, fold, trial, grid, splits)
+        return _execute_run(*desc)
     except Exception as exc:
         raise ProtocolError(f"run failed for {_cell(desc)}: {exc}") from exc
 
 
 def _init_worker(runs):
-    global _worker
-    _worker = (runs, {})
+    global _worker_runs
+    # the splits arrive unpickled, and unpickled arrays are writable
+    for *_, split in runs:
+        _read_only(split)
+    _worker_runs = runs
 
 
 def _run_in_worker(index):
-    runs, splits = _worker
-    return _run_descriptor(runs[index], splits)
+    return _run_descriptor(_worker_runs[index])
 
 
 def _map_in_pool(runs, workers, on_result):
@@ -306,31 +319,19 @@ def _check_not_bootstrapping():
                           f"module; {_MAIN_GUARD}")
 
 
-def run_grid(grids, jobs=1, progress=None):
-    """Execute every run of a spec's grids; results come back in canonical order.
+def run_grid(plan, jobs=1, progress=None):
+    """Execute the runs of a ``Plan`` from ``check_plan``; results come back per
+    requested row, in canonical order.
 
-    Identical work requested twice, by one grid or by two (same dataset, rate,
-    algorithm, config, fold, trial, training config, folds and base seed),
-    executes once and is re-labeled ``<study>/<detail>`` per requesting row.
-    Its seeds never involve the study, so a shared run is bit-identical to one
-    executed twice. The runs of one (dataset, rate, fold) share one split: the
-    one ``check_plan`` made, or on the pool path one per worker. With
-    ``jobs > 1`` the distinct runs execute in up to ``jobs`` worker processes;
-    ``progress`` is called here, once per executed run, in canonical order. Any run failure aborts with a diagnostic naming
-    the cell.
+    Each distinct run executes once and is re-labeled ``<study>/<detail>`` for
+    every row that requests it. With ``jobs > 1`` the runs execute in up to
+    ``jobs`` worker processes, which train on the plan's splits; ``progress``
+    is called here, once per executed run, in the plan's order. Any run
+    failure aborts with a diagnostic naming the cell.
     """
     _check_not_bootstrapping()
-    splits = check_plan(grids, jobs)
-    descriptors = [(grid, *run) for grid in grids for run in enumerate_runs(grid)]
-
-    # dedupe, execute each distinct run once, then relabel per requesting entry
-    keys = [(ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
-             repr(grid.train), grid.n_folds, grid.base_seed)
-            for grid, ds, rate, entry, fold, trial in descriptors]
-    first = {}
-    for key, desc in zip(keys, descriptors):
-        first.setdefault(key, desc)
-    runs = list(first.values())
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     executed = []
 
     def done(res):
@@ -338,15 +339,13 @@ def run_grid(grids, jobs=1, progress=None):
             progress(res)
         executed.append(res)
 
-    workers = min(jobs, len(runs))
+    workers = min(jobs, len(plan.runs))
     if workers == 1:
-        for desc in runs:
-            done(_run_descriptor(desc, splits))
+        for desc in plan.runs:
+            done(_run_descriptor(desc))
     else:
-        _map_in_pool(runs, workers, done)
-    by_key = dict(zip(first, executed))
-    return [replace(by_key[key], variant=f"{grid.study}/{entry.detail}")
-            for key, (grid, _, _, entry, _, _) in zip(keys, descriptors)]
+        _map_in_pool(plan.runs, workers, done)
+    return [replace(executed[i], variant=variant) for i, variant in plan.rows]
 
 
 def format_log(results):

@@ -36,7 +36,13 @@ from proxyssl.engine import (
     tri_training_batches,
 )
 from proxyssl.numerics import Rng
-from proxyssl.protocol import AlgorithmEntry, ExperimentGrid, run_grid, tables_from_results
+from proxyssl.protocol import (
+    AlgorithmEntry,
+    ExperimentGrid,
+    check_plan,
+    run_grid,
+    tables_from_results,
+)
 from proxyssl.stats import paired_t_test
 from proxyssl.synthetic import make_blobs
 
@@ -66,7 +72,7 @@ def trend_results(synth_dataset):
         train=TrainConfig(epochs=60, batch_size=32),
         study="trend", include_oracle=True)
     t0 = time.monotonic()
-    results = run_grid([grid])
+    results = run_grid(check_plan([grid]))
     return results, time.monotonic() - t0
 
 
@@ -82,7 +88,7 @@ def bench_results(synth_dataset):
         train=TrainConfig(epochs=60, batch_size=32),
         study="bench", include_oracle=False)
     t0 = time.monotonic()
-    results = run_grid([grid], jobs=2)
+    results = run_grid(check_plan([grid]), jobs=2)
     return results, time.monotonic() - t0
 
 

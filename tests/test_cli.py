@@ -235,6 +235,23 @@ class TestRunAndReport:
         assert len(executed) == len(set(requested)) < len(requested)
         assert len((out / "run_log.csv").read_text().splitlines()) == len(requested)
 
+    def test_run_makes_each_split_once(self, tmp_path, data_file, monkeypatch):
+        spec = write_spec(tmp_path, data_file,
+                          "[study base]\nrates = 0.9, 0.8\nmax_iterations = 1\nalgorithms = TBST\n"
+                          "[study fresh]\nkind = fresh_model\nrates = 0.9\nmax_iterations = 1\n"
+                          "algorithms = TBST\n")
+        made = []
+        real = protocol.make_semi_split
+        monkeypatch.setattr(protocol, "make_semi_split",
+                            lambda ds, rate, fold, *rest: made.append((ds.name, rate, fold))
+                            or real(ds, rate, fold, *rest))
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), "--jobs", "1"]) == 0
+        logged = {(f[0], float(f[1]), int(f[4])) for f in
+                  (line.split(",") for line in (out / "run_log.csv").read_text().splitlines())}
+        assert sorted(made) == sorted(logged)  # oracle and two rates, three folds each
+        assert len(made) == 9
+
     def test_each_sampling_mode_logs_its_label(self, tmp_path, data_file):
         spec = write_spec(tmp_path, data_file,
                           "[study samp]\nkind = sampling\nrates = 0.9\nmax_iterations = 1\n"
@@ -327,6 +344,34 @@ class TestRunAndReport:
         assert "jobs" in capsys.readouterr().err
         assert executed == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["demo@0.5/Supervsed", "dmeo@0.5/Supervised",
+                                     "demo@0.9/Supervised"])
+    def test_reference_key_naming_no_cell_exit_2_before_training(self, tmp_path, capsys,
+                                                                 monkeypatch, key):
+        data = tmp_path / "demo.csv"
+        save_csv(make_blobs("demo", n=90, d=4, n_classes=2, separation=4.0, seed=1), data)
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = supervised\n"
+                                          f"[reference]\n{key} = 50\n")
+        executed = []
+        monkeypatch.setattr(protocol, "_execute_run", lambda *args: executed.append(args))
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert f"[reference] key {key!r} names no table cell" in capsys.readouterr().err
+        assert executed == []
+        assert not (tmp_path / "out").exists()
+
+    def test_reference_keys_for_oracle_and_sweep_rows_compared(self, tmp_path):
+        data = tmp_path / "demo.csv"
+        save_csv(make_blobs("demo", n=90, d=4, n_classes=2, separation=4.0, seed=1), data)
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = supervised\n"
+                                          "[study sw]\nkind = sweep\nfractions = 0.2\n"
+                                          "[reference]\ndemo@0.5/Oracle = 90\n"
+                                          "demo@0.8/Supervised = 80\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        rows = [line.split(",")[:3] for line in
+                (out / "reference_delta.csv").read_text().splitlines()[1:]]
+        assert rows == [["demo", "0.5", "Oracle"], ["demo", "0.8", "Supervised"]]
 
     def test_unwritable_out_fails_before_training(self, tmp_path, data_file, capsys,
                                                   monkeypatch):
@@ -426,10 +471,12 @@ class TestRunAndReport:
          "learning_rate"),
         ("learning_rate = inf\n", "[study s]\nalgorithms = supervised\n", "[global]",
          "learning_rate"),
+        ("", "[study s]\nalgorithms = supervised\n[reference]\nmini@0.9/Supervised = abc\n",
+         "[reference]", "expected a number"),
     ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
             "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
             "bad-boolean", "repeated-algorithm", "repeated-rate", "unused-mode", "unused-tau1",
-            "learning_rate-nan", "learning_rate-inf"])
+            "learning_rate-nan", "learning_rate-inf", "reference-value"])
     def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                        monkeypatch, global_extra, body,
                                                        section, key):

@@ -75,6 +75,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=":3:"):
             load_csv(p)
 
+    @pytest.mark.parametrize("ch", ["\f", "\x0b", "\x85", "\u2028"])
+    def test_line_numbers_count_newlines_only(self, tmp_path, ch):
+        # str.splitlines breaks at each of these, and float() reads them as spaces
+        p = tmp_path / "ff.csv"
+        p.write_text(f"# name=ff d=1\n0,0,1.0{ch}\n1,1,2.0\n2,0,oops\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"ff\.csv:4: "):
+            load_csv(p)
+
     @pytest.mark.parametrize("name", ["a,b", "a/b"])
     def test_name_unsafe_for_log_and_paths_rejected(self, tmp_path, name):
         p = tmp_path / "named.csv"

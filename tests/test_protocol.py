@@ -1,6 +1,7 @@
 import concurrent.futures
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from proxyssl.protocol import (
     ComparisonTable,
     ExperimentGrid,
     RunResult,
+    check_plan,
     derive_seed,
     format_log,
     mark_significance,
@@ -77,14 +79,14 @@ def failing_grid():
 
 class TestRunGrid:
     def test_fifteen_runs_per_cell(self):
-        results = run_grid([small_grid(include_oracle=False)])
+        results = run_grid(check_plan([small_grid(include_oracle=False)]))
         assert len(results) == 15
         pairs = [(r.fold, r.trial) for r in results]
         assert pairs == [(f, t) for f in range(3) for t in range(5)]
 
     def test_two_rates_give_two_supervised_blocks(self):
         grid = small_grid(rates=(0.0, 0.9), include_oracle=False)
-        results = run_grid([grid])
+        results = run_grid(check_plan([grid]))
         tables = tables_from_results(results)
         assert len(tables) == 2
         assert {t.rate for t in tables} == {0.0, 0.9}
@@ -92,8 +94,8 @@ class TestRunGrid:
 
     def test_rerun_identical(self):
         grid = small_grid(include_oracle=False)
-        a = run_grid([grid])
-        b = run_grid([grid])
+        a = run_grid(check_plan([grid]))
+        b = run_grid(check_plan([grid]))
         assert [r.max_test_acc for r in a] == [r.max_test_acc for r in b]
 
     def test_jobs_parallel_matches_serial(self):
@@ -101,9 +103,10 @@ class TestRunGrid:
                                       AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
                           include_oracle=False, n_seeds=2)
         grids = [grid, replace(grid, study="again")]  # every run of "again" repeats one
-        serial = run_grid(grids, jobs=1)
+        serial = run_grid(check_plan(grids), jobs=1)
         called_in = []
-        parallel = run_grid(grids, jobs=2, progress=lambda r: called_in.append(os.getpid()))
+        parallel = run_grid(check_plan(grids), jobs=2,
+                            progress=lambda r: called_in.append(os.getpid()))
 
         def without_wall(results):
             return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in results]
@@ -129,7 +132,7 @@ class TestRunGrid:
         grid = replace(small_grid(include_oracle=False, n_seeds=1), n_folds=2)  # two runs
         for jobs in (3, 10**6):
             with pytest.raises(RuntimeError, match="no pool"):
-                run_grid([grid], jobs=jobs)
+                run_grid(check_plan([grid]), jobs=jobs)
         # the user's OMP setting is kept; the parent's variables are restored
         assert built == [(2, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"})] * 2
         assert "OPENBLAS_NUM_THREADS" not in os.environ
@@ -138,11 +141,11 @@ class TestRunGrid:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
-            run_grid([small_grid()], jobs=jobs)
+            run_grid(check_plan([small_grid()]), jobs=jobs)
 
     def test_oracle_equals_rate_zero_supervised(self):
         grid = small_grid(include_oracle=True)
-        results = run_grid([grid])
+        results = run_grid(check_plan([grid]))
         oracle = [r for r in results if r.algorithm == "oracle"]
         assert all(r.rate == 0.0 for r in oracle)
         ds = grid.datasets[0]
@@ -159,19 +162,19 @@ class TestRunGrid:
                         AlgorithmEntry("TBST", ssl, detail="one"),
                         AlgorithmEntry("TBST", ssl, detail="two")],
             include_oracle=False, n_seeds=1)
-        results = run_grid([grid])
+        results = run_grid(check_plan([grid]))
         one = [r.max_test_acc for r in results if r.detail == "one"]
         two = [r.max_test_acc for r in results if r.detail == "two"]
         assert one == two
 
     def test_failure_diagnostic_names_cell(self):
         with pytest.raises(ProtocolError, match="dataset=tiny"):
-            run_grid([failing_grid()])
+            run_grid(check_plan([failing_grid()]))
 
     def test_failure_in_worker_names_cell(self):
         with pytest.raises(ProtocolError, match="run failed for dataset=tiny rate=0.5 "
                                                 "algorithm=TT fold=0 trial=0"):
-            run_grid([failing_grid()], jobs=2)
+            run_grid(check_plan([failing_grid()]), jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_protocol_error(self):
@@ -184,7 +187,7 @@ class TestRunGrid:
         grid.datasets[0].unpicklable = ExitOnLoad()
         with pytest.raises(ProtocolError, match="worker process died before run "
                                                 "dataset=mini rate=0.9"):
-            run_grid([grid], jobs=2)
+            run_grid(check_plan([grid]), jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_grids_share_runs_only_under_equal_training(self):
@@ -199,7 +202,7 @@ class TestRunGrid:
                  replace(grid("d"), train=TrainConfig(epochs=3, batch_size=32)),
                  replace(grid("e"), n_folds=2)]
         executed = []
-        results = run_grid(grids, progress=executed.append)
+        results = run_grid(check_plan(grids), progress=executed.append)
         assert [r.study for r in results] == list("aaabbbcccddd") + ["e", "e"]
         assert len(executed) == 11  # b repeats a; c, d and e each differ from a
         a, b = ([(r.max_test_acc, r.wall_ms) for r in results if r.study == s] for s in "ab")
@@ -216,7 +219,7 @@ class TestRunGrid:
                                 train=FAST, study=f"s{seed}", include_oracle=False)
                  for seed in (1, 2)]
         with pytest.raises(ConfigError, match="'a'"):
-            run_grid(grids)
+            run_grid(check_plan(grids))
 
     def test_two_grids_of_one_study_rejected(self, monkeypatch):
         def no_training(*args):
@@ -226,7 +229,7 @@ class TestRunGrid:
         # both keep the default study name: every cell would hold each run twice
         grids = [small_grid(), small_grid(rates=(0.8,))]
         with pytest.raises(ConfigError, match="'baselines'"):
-            run_grid(grids)
+            run_grid(check_plan(grids))
 
     def test_ct_on_one_column_dataset_rejected(self, monkeypatch):
         def no_training(*args):
@@ -239,7 +242,7 @@ class TestRunGrid:
                                           AlgorithmEntry("CT", SslConfig("CT"))],
                               unlabeled_rates=[0.5], train=FAST, include_oracle=False)
         with pytest.raises(ConfigError, match="CT.*'flat' has d=1"):
-            run_grid([grid])
+            run_grid(check_plan([grid]))
 
     @pytest.mark.parametrize("name", ["a,b", "a/b", "a\nb", "a\rb"])
     def test_log_separator_in_study_or_detail_rejected(self, name):
@@ -278,7 +281,7 @@ class TestSharedSplits:
         made = []
         real = protocol.make_semi_split
         monkeypatch.setattr(protocol, "make_semi_split", lambda *a: made.append(a) or real(*a))
-        results = run_grid([self.grid()])
+        results = run_grid(check_plan([self.grid()]))
         keys = {(r.dataset, r.rate, r.fold) for r in results}
         assert len(made) == len(keys) == 2 * 3 * 3  # datasets x (oracle + 2 rates) x folds
         assert len(results) == 2 * 3 * 2 * (1 + 2 * 2)
@@ -297,19 +300,42 @@ class TestSharedSplits:
             return real(ds, split, train_cfg, rng)
 
         monkeypatch.setattr(protocol, "run_supervised", record)
-        run_grid([self.grid()])
+        run_grid(check_plan([self.grid()]))
         # supervised and oracle runs: (2 datasets) x (3 rates) x (3 folds), 2 trials each
         assert len(seen) == 18 and all(len(ids) == 1 for ids in seen.values())
 
+    def test_worker_trains_on_the_plans_splits(self, monkeypatch):
+        grid = small_grid(algorithms=[AlgorithmEntry("supervised"),
+                                      AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
+                          n_seeds=1)
+        plan = check_plan([grid])
+        serial = run_grid(plan)
+        # a worker receives the runs pickled, through the pool's initializer
+        runs = pickle.loads(pickle.dumps(plan.runs))
+        assert runs[0][-1].test_idx.flags.writeable
+        monkeypatch.setattr(protocol, "_worker_runs", None)
+        protocol._init_worker(runs)
+
+        def no_split(*args):
+            raise AssertionError("a worker made a split")
+
+        monkeypatch.setattr(protocol, "make_semi_split", no_split)
+        executed = [protocol._run_in_worker(i) for i in range(len(runs))]
+        for *_, split in runs:
+            for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
+                assert not idx.flags.writeable
+        assert ([replace(executed[i], variant=variant, wall_ms=0.0) for i, variant in plan.rows]
+                == [replace(r, wall_ms=0.0) for r in serial])
+
 
 UNGUARDED_SCRIPT = """
-from proxyssl import AlgorithmEntry, ExperimentGrid, TrainConfig, run_grid
+from proxyssl import AlgorithmEntry, ExperimentGrid, TrainConfig, check_plan, run_grid
 from proxyssl.synthetic import make_blobs
 
 grid = ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=1)],
                       algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
                       n_seeds=1, train=TrainConfig(epochs=1), include_oracle=False)
-run_grid([grid], jobs=2)
+run_grid(check_plan([grid]), jobs=2)
 """
 
 
@@ -358,7 +384,7 @@ def test_script_without_main_guard_fails_fast(tmp_path):
 
 class TestLogRoundTrip:
     def test_format_parse_round_trip(self):
-        results = run_grid([small_grid(include_oracle=False, n_seeds=1)])
+        results = run_grid(check_plan([small_grid(include_oracle=False, n_seeds=1)]))
         text = format_log(results)
         back = parse_log(text)
         assert len(back) == len(results)
@@ -431,14 +457,14 @@ class TestMarkSignificance:
 class TestTables:
     def test_oracle_attaches_to_every_rate_block(self):
         grid = small_grid(rates=(0.9, 0.8), include_oracle=True, n_seeds=1)
-        tables = tables_from_results(run_grid([grid]))
+        tables = tables_from_results(run_grid(check_plan([grid])))
         assert len(tables) == 2
         for t in tables:
             assert t.row_labels[0] == "Oracle"
             assert ("Oracle", "mini") in t.cells
 
     def test_render_deterministic(self):
-        results = run_grid([small_grid(n_seeds=2)])
+        results = run_grid(check_plan([small_grid(n_seeds=2)]))
         tables = tables_from_results(results)
         text1 = [render_table_text(t) for t in tables]
         text2 = [render_table_text(t) for t in tables_from_results(results)]
@@ -447,7 +473,7 @@ class TestTables:
         assert all("study,rate,row,dataset,mean,significance" in c for c in csv1)
 
     def test_mean_matches_runs(self):
-        results = run_grid([small_grid(include_oracle=False, n_seeds=2)])
+        results = run_grid(check_plan([small_grid(include_oracle=False, n_seeds=2)]))
         table = tables_from_results(results)[0]
         cell = table.cells[("Supervised", "mini")]
         assert abs(cell.mean - np.mean(cell.accuracies)) < 1e-12
@@ -461,7 +487,7 @@ class TestTables:
     def test_union_of_disjoint_logs(self):
         ga = small_grid(include_oracle=False, n_seeds=1, study="a")
         gb = small_grid(include_oracle=False, n_seeds=1, study="b")
-        ra, rb = run_grid([ga]), run_grid([gb])
+        ra, rb = run_grid(check_plan([ga])), run_grid(check_plan([gb]))
         merged = tables_from_results(ra + rb)
         assert {t.study for t in merged} == {"a", "b"}
         separate = tables_from_results(ra) + tables_from_results(rb)
