@@ -7,7 +7,7 @@ protocol that compares them against supervised and fully-labeled baselines
 with paired significance testing.
 """
 
-from .classifier import MlpModel, RunRecord, TrainConfig, fit, init_model, predict
+from .classifier import MlpModel, TrainConfig, fit, init_model, predict
 from .dataset import (
     Dataset,
     SemiSplit,
@@ -46,13 +46,12 @@ from .synthetic import make_blobs
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmEntry", "CellResult", "ComparisonTable", "ConfigError", "DataError",
-    "Dataset", "ExperimentGrid", "MlpModel", "NumericError",
-    "ProtocolError", "ProxySslError", "PseudoLabelBatch", "Rng", "RunRecord",
-    "RunResult", "SemiSplit", "ShapeError", "SslConfig",
+    "AlgorithmEntry", "CellResult", "ComparisonTable", "ConfigError", "DataError", "Dataset",
+    "ExperimentGrid", "MlpModel", "NumericError", "ProtocolError", "ProxySslError",
+    "PseudoLabelBatch", "Rng", "RunResult", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "check_plan", "fit", "init_model",
     "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
-    "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm",
-    "run_grid", "run_supervised", "save_csv", "select_by_count", "select_by_threshold",
-    "split_features", "t_two_tailed_p", "tables_from_results",
+    "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm", "run_grid",
+    "run_supervised", "save_csv", "select_by_count", "select_by_threshold", "split_features",
+    "t_two_tailed_p", "tables_from_results",
 ]

@@ -2,8 +2,8 @@
 
 Training is plain mini-batch cross-entropy with the Adam update rule,
 implemented directly on numpy arrays. Given a test set, ``fit`` scores it
-after every epoch and returns the maximum test accuracy in a RunRecord
-alongside the full per-epoch trace; without one it only trains.
+after every epoch and returns the best epoch's test accuracy; without one it
+only trains.
 
 Parameter layout: a model keeps all of its parameters in one contiguous
 float64 vector, ``params``. It holds every layer's weight matrix in layer
@@ -49,26 +49,16 @@ class TrainConfig:
 class MlpModel:
     """One flat parameter vector with per-layer views, plus Adam state.
 
-    ``weights`` and ``biases`` are copied into ``params``; afterwards
-    ``weights[i]``/``biases[i]`` are writable views into it, and ``m``/``v``
-    are the Adam moments in the same layout.
+    ``params`` starts zeroed; ``weights[i]``/``biases[i]`` are writable views
+    into it, and ``m``/``v`` are the Adam moments in the same layout.
     """
 
-    def __init__(self, layer_dims, weights, biases):
+    def __init__(self, layer_dims):
         self.layer_dims = [int(d) for d in layer_dims]
         shapes = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
-        if len(weights) != len(shapes) or len(biases) != len(shapes):
-            raise ShapeError(f"layer_dims {self.layer_dims} need {len(shapes)} layers, "
-                             f"got {len(weights)} weights and {len(biases)} biases")
         self.n_weights = sum(a * b for a, b in shapes)
-        self.params = np.empty(self.n_weights + sum(b for _, b in shapes))
+        self.params = np.zeros(self.n_weights + sum(b for _, b in shapes))
         self.weights, self.biases = self.layers(self.params)
-        for dst, src in zip(self.weights + self.biases, [*weights, *biases]):
-            src = np.asarray(src, dtype=np.float64)
-            if src.shape != dst.shape:
-                raise ShapeError(f"parameter of shape {src.shape} where layer_dims "
-                                 f"{self.layer_dims} need {dst.shape}")
-            dst[...] = src
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self._scratch = (np.empty_like(self.params), np.empty_like(self.params))
@@ -94,14 +84,6 @@ class MlpModel:
         return self.layer_dims[-1]
 
 
-@dataclass
-class RunRecord:
-    """Per-epoch test-accuracy trace of one training and its maximum."""
-
-    epoch_test_accuracy: list[float]
-    max_test_accuracy: float
-
-
 def init_model(input_dim, n_classes, rng: Rng, hidden=DEFAULT_HIDDEN):
     """Fresh model with Glorot-uniform weights and zero biases.
 
@@ -112,13 +94,11 @@ def init_model(input_dim, n_classes, rng: Rng, hidden=DEFAULT_HIDDEN):
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    dims = [int(input_dim)] + [int(h) for h in hidden] + [int(n_classes)]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, fan_in * fan_out).reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(dims, weights, biases)
+    m = MlpModel([int(input_dim)] + [int(h) for h in hidden] + [int(n_classes)])
+    for w in m.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, w.shape)
+    return m
 
 
 def _forward_cached(m: MlpModel, x):
@@ -241,7 +221,7 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
 
     Advances the model in place (optimizer moments persist), so successive
     calls warm-start from the previous state; callers wanting a fresh model
-    call init_model first. Returns the RunRecord for this call; with
+    call init_model first. Returns the best epoch's test accuracy; with
     ``test_x`` None it only trains and returns None.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -254,7 +234,7 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
         raise ValueError("fit needs a nonempty test set")
     # batches are gathered one at a time: a shuffled copy of the whole set
     # per epoch made fit about 20% slower at 768 columns
-    trace = []
+    scores = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -262,5 +242,5 @@ def fit(m: MlpModel, train_x, train_y, test_x, test_y, cfg: TrainConfig, rng: Rn
             _, grad = loss_and_grads(m, train_x[idx], train_y[idx])
             adam_step(m, grad, cfg)
         if scored:
-            trace.append(accuracy(m, test_x, test_y))
-    return RunRecord(trace, max(trace)) if scored else None
+            scores.append(accuracy(m, test_x, test_y))
+    return max(scores) if scored else None

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .dataset import load_csv, read_manifest
+from .dataset import load_csv, read_manifest, read_text
 from .errors import ConfigError, ProxySslError
 from .protocol import (
     check_plan,
@@ -165,8 +165,7 @@ def cmd_run(args):
 def cmd_report(args):
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
-    with open(args.log, "r", encoding="utf-8") as fh:
-        results = parse_log(fh.read(), source=args.log)
+    results = parse_log(read_text(args.log), source=args.log)
     out_dir = _resolve_out(args.out)
     _, written = write_report(results, out_dir, alpha=args.alpha)
     for path in written:

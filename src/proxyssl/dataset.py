@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class Dataset:
     name: str
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64
-    n_classes: int
+    n_classes: int = field(init=False)  # max label + 1; every class has samples
 
     def __post_init__(self):
         # the name is a field of the run log and part of the series_* file names
@@ -62,9 +62,10 @@ class Dataset:
             raise DataError(f"dataset {self.name!r}: need n >= 1 and d >= 1")
         if self.labels.shape != (n,):
             raise DataError(f"dataset {self.name!r}: labels length != n rows")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise DataError(f"dataset {self.name!r}: labels outside [0, {self.n_classes})")
-        present = np.bincount(self.labels, minlength=self.n_classes)
+        if self.labels.min() < 0:
+            raise DataError(f"dataset {self.name!r}: negative label {self.labels.min()}")
+        present = np.bincount(self.labels)
+        self.n_classes = len(present)
         missing = np.where(present == 0)[0]
         if missing.size:
             raise DataError(f"dataset {self.name!r}: class {missing[0]} has no samples")
@@ -97,11 +98,19 @@ class SemiSplit:
             raise DataError("split index sets overlap")
 
 
+def read_text(path):
+    """The text of a UTF-8 file; bytes that do not decode are a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_csv(path):
-    """Parse a dataset file; n_classes is inferred as max label + 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        # records end in "\n" only; str.splitlines also breaks at "\f", U+2028, ...
-        lines = fh.read().split("\n")
+    """Parse a dataset file in the format above."""
+    # records end in "\n" only; str.splitlines also breaks at "\f", U+2028, ...
+    lines = read_text(path).split("\n")
     if not lines[0].startswith("#"):
         raise DataError(f"{path}: missing '# name=... d=...' header line")
     header = {}
@@ -116,6 +125,8 @@ def load_csv(path):
         d = int(header["d"])
     except ValueError:
         raise DataError(f"{path}: header d={header['d']!r} is not an integer")
+    if d < 1:
+        raise DataError(f"{path}: header d={d} must be at least 1")
     features, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -139,7 +150,6 @@ def load_csv(path):
         name=header["name"],
         features=np.array(features, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
-        n_classes=max(labels) + 1,
     )
 
 
@@ -160,8 +170,13 @@ def read_manifest(data_path):
     p = manifest_path(data_path)
     if not os.path.exists(p):
         return None
-    with open(p, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        manifest = json.loads(read_text(p))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{p}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{p}: expected a JSON object, got {type(manifest).__name__}")
+    return manifest
 
 
 def _stratified_fold_of(ds: Dataset, n_folds, rng: Rng):

@@ -103,8 +103,11 @@ class SslOutcome:
     """
 
     iteration_accuracy: list[float]
-    max_test_accuracy: float
     pseudo_label_counts: list[list[int]]
+
+    @property
+    def max_test_accuracy(self):
+        return max(self.iteration_accuracy)
 
     @property
     def iterations_run(self):
@@ -186,7 +189,7 @@ def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
     Rate-0 splits make this the fully-labeled upper-bound condition.
     """
     model = init_model(ds.d, ds.n_classes, rng.child(0).child(0).child(0))
-    rec = fit(
+    acc = fit(
         model,
         ds.features[split.labeled_idx],
         ds.labels[split.labeled_idx],
@@ -195,7 +198,7 @@ def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
         train_cfg,
         rng.child(0).child(0).child(1),
     )
-    return SslOutcome([rec.max_test_accuracy], rec.max_test_accuracy, [])
+    return SslOutcome([acc], [])
 
 
 def _views(ds: Dataset, cfg: SslConfig):
@@ -262,15 +265,15 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
     best_epoch = len(views) == 1 or cfg.eval_mode == "best_single"
 
     def train(it, train_sets):
-        recs = []
+        scores = []
         for s, ((lo, hi), (x, y)) in enumerate(zip(views, train_sets)):
             if models[s] is None or cfg.fresh_model_each_iteration:
                 models[s] = init_model(hi - lo, ds.n_classes, rng.child(it).child(s).child(0))
             test = (test_x[:, lo:hi], test_y) if best_epoch else (None, None)
-            recs.append(fit(models[s], x[:, lo:hi], y, *test,
-                            train_cfg, rng.child(it).child(s).child(1)))
+            scores.append(fit(models[s], x[:, lo:hi], y, *test,
+                              train_cfg, rng.child(it).child(s).child(1)))
         if best_epoch:
-            return max(rec.max_test_accuracy for rec in recs)
+            return max(scores)
         return _ensemble_accuracy(models, views, test_x, test_y)
 
     trace, counts, prev = [train(0, initial)], [], None
@@ -283,4 +286,4 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
                                  np.concatenate([d_y, b.labels])) for b in batches)))
         counts.append([len(b) for b in batches])
         prev = batches
-    return SslOutcome(trace, max(trace), counts)
+    return SslOutcome(trace, counts)

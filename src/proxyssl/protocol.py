@@ -51,8 +51,11 @@ class AlgorithmEntry:
     detail: str = "std"  # row qualifier within the study
 
     def __post_init__(self):
-        if self.algorithm not in BASELINE_ALGORITHMS and self.ssl is None:
-            raise ConfigError(f"algorithm {self.algorithm!r} needs an SslConfig")
+        # the log records the row's name, but its config is what runs
+        runs = self.ssl.algorithm if self.ssl else None
+        if runs != (None if self.algorithm in BASELINE_ALGORITHMS else self.algorithm):
+            raise ConfigError(f"row {self.algorithm!r} runs {runs or 'no SSL algorithm'}; a "
+                              f"baseline row takes no SslConfig, an SSL row one of its own")
         check_log_field("variant detail", self.detail, ConfigError)
 
     def row_label(self):
@@ -110,20 +113,13 @@ class RunResult:
     dataset: str
     rate: float
     algorithm: str
-    variant: str  # "<study>/<detail>"
+    study: str
+    detail: str  # row qualifier within the study
     fold: int
     trial: int
     max_test_acc: float  # percentage
     iterations: int
     wall_ms: float
-
-    @property
-    def study(self):
-        return self.variant.split("/", 1)[0]
-
-    @property
-    def detail(self):
-        return self.variant.split("/", 1)[1]
 
 
 def _execute_run(grid, ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, split):
@@ -140,7 +136,8 @@ def _execute_run(grid, ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, sp
         dataset=ds.name,
         rate=rate,
         algorithm=entry.algorithm,
-        variant=f"{grid.study}/{entry.detail}",
+        study=grid.study,
+        detail=entry.detail,
         fold=fold,
         trial=trial,
         max_test_acc=100.0 * outcome.max_test_accuracy,
@@ -170,7 +167,7 @@ def enumerate_runs(grid: ExperimentGrid):
 class Plan(NamedTuple):
     """What ``run_grid`` executes: the distinct ``runs`` in first-request order, each
     (grid, dataset, rate, entry, fold, trial, split), and per requested row in
-    canonical order, (index into ``runs``, "<study>/<detail>")."""
+    canonical order, (index into ``runs``, study, detail)."""
 
     runs: list
     rows: list
@@ -229,7 +226,7 @@ def check_plan(grids, jobs=1):
                                           f"{rate!r} fold {fold} has {x}")
                 index[key] = len(runs)
                 runs.append((grid, ds, rate, entry, fold, trial, split))
-            rows.append((index[key], f"{grid.study}/{entry.detail}"))
+            rows.append((index[key], grid.study, entry.detail))
     return Plan(runs, rows)
 
 
@@ -345,14 +342,14 @@ def run_grid(plan, jobs=1, progress=None):
             done(_run_descriptor(desc))
     else:
         _map_in_pool(plan.runs, workers, done)
-    return [replace(executed[i], variant=variant) for i, variant in plan.rows]
+    return [replace(executed[i], study=study, detail=detail) for i, study, detail in plan.rows]
 
 
 def format_log(results):
     lines = []
     for r in results:
         lines.append(
-            f"{r.dataset},{r.rate!r},{r.algorithm},{r.variant},{r.fold},{r.trial},"
+            f"{r.dataset},{r.rate!r},{r.algorithm},{r.study}/{r.detail},{r.fold},{r.trial},"
             f"{r.max_test_acc!r},{r.iterations},{r.wall_ms:.3f}"
         )
     return "\n".join(lines) + "\n" if lines else ""
@@ -367,10 +364,13 @@ def parse_log(text, source="run log"):
         parts = line.split(",")
         if len(parts) != 9:
             raise DataError(f"{source}:{lineno}: expected 9 fields, got {len(parts)}")
+        study, slash, detail = parts[3].partition("/")
+        if not slash:
+            raise DataError(f"{source}:{lineno}: variant {parts[3]!r} lacks a study prefix")
         try:
             rate, acc, wall_ms = float(parts[1]), float(parts[6]), float(parts[8])
             results.append(RunResult(
-                dataset=parts[0], rate=rate, algorithm=parts[2], variant=parts[3],
+                dataset=parts[0], rate=rate, algorithm=parts[2], study=study, detail=detail,
                 fold=int(parts[4]), trial=int(parts[5]), max_test_acc=acc,
                 iterations=int(parts[7]), wall_ms=wall_ms,
             ))
@@ -379,8 +379,6 @@ def parse_log(text, source="run log"):
         if not (0.0 <= rate < 1.0 and math.isfinite(acc) and math.isfinite(wall_ms)):
             raise DataError(f"{source}:{lineno}: need a rate in [0, 1) and finite max_test_acc "
                             f"and wall_ms, got {parts[1]}, {parts[6]} and {parts[8]}")
-        if "/" not in parts[3]:
-            raise DataError(f"{source}:{lineno}: variant {parts[3]!r} lacks a study prefix")
     return results
 
 

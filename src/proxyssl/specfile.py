@@ -192,7 +192,7 @@ def parse_spec(path):
     cp.optionxform = str  # keep key case for dataset names in [reference]
     try:
         cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     try:
         g = _read(cp["global"] if "global" in cp else {}, GLOBAL_KEYS)

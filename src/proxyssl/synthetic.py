@@ -29,5 +29,4 @@ def make_blobs(name, n, d, n_classes, separation, seed):
     features = means[labels] + noise
     # fixed shuffle so class blocks are interleaved like a real corpus
     order = rng.child(2).permutation(n)
-    return Dataset(name=name, features=features[order], labels=labels[order],
-                   n_classes=n_classes)
+    return Dataset(name=name, features=features[order], labels=labels[order])

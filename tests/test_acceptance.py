@@ -136,13 +136,13 @@ def test_gradient_correctness():
 def test_softmax_and_loss_analytics():
     """Uniform-prediction loss equals ln(C); rows sum to 1 under +/-500 logits."""
     for c in (2, 3, 5, 7):
-        dims = [3, c]
-        m = MlpModel(dims, [np.zeros((3, c))], [np.zeros(c)])
+        m = MlpModel([3, c])
         loss, _ = loss_and_grads(m, np.ones((5, 3)), np.zeros(5, dtype=int))
         assert abs(loss - math.log(c)) < 1e-9
     # identity single-layer model: logits are the raw inputs
     c = 6
-    m = MlpModel([c, c], [np.eye(c)], [np.zeros(c)])
+    m = MlpModel([c, c])
+    m.weights[0][...] = np.eye(c)
     logits = Rng(7).uniform(-500.0, 500.0, (200, c))
     logits[0, :] = [-500.0, 500.0, 0.0, -500.0, 500.0, 250.0]  # extreme row
     p = forward(m, logits)
@@ -155,7 +155,8 @@ def test_adam_single_step_oracle():
     """First Adam step on a scalar parameter vs the hand-run recurrence."""
     lr, b1, b2, eps = 0.1, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     cfg = TrainConfig(learning_rate=lr)
-    m = MlpModel([1, 2], [np.array([[0.3, 0.0]])], [np.zeros(2)])
+    m = MlpModel([1, 2])
+    m.weights[0][0, 0] = 0.3
     g = 2.5  # constant gradient
     grad = np.zeros_like(m.params)
     grad[0] = g  # weights[0][0, 0] leads the params layout

@@ -61,6 +61,26 @@ class TestValidate:
         assert main(["validate", str(p)]) == 1
         assert "no samples" in capsys.readouterr().err
 
+    def test_header_d_below_one_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "neg.csv"
+        p.write_text("# name=x d=-1\n0\n", encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert "neg.csv: header d=-1" in capsys.readouterr().err
+
+    def test_non_utf8_dataset_exit_1(self, data_file, capsys):
+        text = data_file.read_bytes()
+        data_file.write_bytes(text[:40] + b"\xff" + text[40:])
+        assert main(["validate", str(data_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {data_file}: 'utf-8' codec can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("payload", ["{bad", "[1,2]"])
+    def test_malformed_manifest_exit_1(self, data_file, capsys, payload):
+        manifest = data_file.parent / "mini.csv.manifest.json"
+        manifest.write_text(payload, encoding="utf-8")
+        assert main(["validate", str(data_file)]) == 1
+        assert f"error: {manifest}: " in capsys.readouterr().err
+
 
 class TestSpecParsing:
     def test_missing_dataset_file(self, tmp_path):
@@ -540,6 +560,20 @@ class TestRunAndReport:
         log.write_text("\n".join(lines[:3] + [",".join(parts)]) + "\n", encoding="utf-8")
         assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
         assert "bad.csv:4: need a rate in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_utf8_spec_exit_2_before_training(self, tmp_path, data_file, capsys):
+        spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms = supervised\n")
+        spec.write_bytes(spec.read_bytes() + b"# \xff\n")
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {spec}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_log_exit_1(self, tmp_path, capsys):
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"mini,0.9,supervised,s/std,0,0,50.0,0,1.000\n\xff\n")
+        assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {log}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_corrupt_log_exit_1(self, tmp_path, capsys):

@@ -69,6 +69,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(p)
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_header_d_below_one_rejected(self, tmp_path, d):
+        p = tmp_path / "nod.csv"
+        write_lines(p, [f"# name=x d={d}", "0", "0,0"])
+        with pytest.raises(DataError, match=f"nod.csv: header d={d} must be at least 1"):
+            load_csv(p)
+
     def test_non_numeric_feature_names_line(self, tmp_path):
         p = tmp_path / "nan.csv"
         write_lines(p, ["# name=x d=1", "0,0,1.0", "1,1,oops"])
@@ -92,7 +99,7 @@ class TestLoadCsv:
 
     def test_name_with_newline_rejected(self):
         with pytest.raises(DataError, match="must not contain"):
-            Dataset("a\nb", np.ones((2, 1)), np.array([0, 1]), 2)
+            Dataset("a\nb", np.ones((2, 1)), np.array([0, 1]))
 
     def test_round_trip(self, tmp_path):
         ds = make_blobs("round", n=40, d=7, n_classes=3, separation=3.0, seed=9)
@@ -112,11 +119,24 @@ class TestLoadCsv:
         assert read_manifest(p) == payload
 
 
+class TestDataset:
+    def test_n_classes_is_max_label_plus_one(self):
+        ds = Dataset("k", np.ones((4, 2)), np.array([2, 0, 1, 2]))
+        assert ds.n_classes == 3
+        assert ds.class_counts().tolist() == [1, 1, 2]
+        with pytest.raises(TypeError):  # derived from the labels, never passed
+            Dataset("k", np.ones((2, 1)), np.array([0, 1]), 2)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="negative label -1"):
+            Dataset("k", np.ones((3, 1)), np.array([0, -1, 1]))
+
+
 def balanced_dataset(n, n_classes=2, d=4, seed=17):
     rng = Rng(seed)
     labels = np.arange(n) % n_classes
     feats = rng.uniform(-1, 1, n * d).reshape(n, d)
-    return Dataset("bal", feats, labels, n_classes)
+    return Dataset("bal", feats, labels)
 
 
 class TestMakeSemiSplit:
@@ -182,7 +202,7 @@ class TestMakeSemiSplit:
     def test_tiny_class_rejected(self):
         feats = np.zeros((5, 2))
         labels = np.array([0, 0, 0, 0, 1])
-        ds = Dataset("t", feats, labels, 2)
+        ds = Dataset("t", feats, labels)
         with pytest.raises(DataError, match="fewer than"):
             make_semi_split(ds, 0.5, 0, 3, Rng(1))
 
@@ -194,22 +214,22 @@ class TestMakeSemiSplit:
 
 class TestSplitFeatures:
     def test_even_halves(self):
-        ds = Dataset("w", np.zeros((4, 768)) + np.arange(768), np.array([0, 1, 0, 1]), 2)
+        ds = Dataset("w", np.zeros((4, 768)) + np.arange(768), np.array([0, 1, 0, 1]))
         assert split_features(ds) == ((0, 384), (384, 768))
 
     def test_odd_extra_to_second_view(self):
-        ds = Dataset("o", np.ones((4, 5)), np.array([0, 1, 0, 1]), 2)
+        ds = Dataset("o", np.ones((4, 5)), np.array([0, 1, 0, 1]))
         assert split_features(ds) == ((0, 2), (2, 5))
 
     def test_views_cover_disjointly(self):
         for d in (2, 3, 10, 17):
-            ds = Dataset("c", np.ones((4, d)), np.array([0, 1, 0, 1]), 2)
+            ds = Dataset("c", np.ones((4, d)), np.array([0, 1, 0, 1]))
             (lo_a, hi_a), (lo_b, hi_b) = split_features(ds)
             assert hi_a == lo_b
             assert lo_a == 0 and hi_b == d
 
     def test_single_column_rejected(self):
-        ds = Dataset("s", np.ones((4, 1)), np.array([0, 1, 0, 1]), 2)
+        ds = Dataset("s", np.ones((4, 1)), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError):
             split_features(ds)
 

@@ -256,6 +256,17 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             ExperimentGrid(datasets=[ds], algorithms=[], unlabeled_rates=[0.9])
 
+    @pytest.mark.parametrize("name, ssl", [
+        ("TT", SslConfig("TBST", max_iterations=1)),
+        ("supervised", SslConfig("CT", max_iterations=1)),
+        ("oracle", SslConfig("TBST")),
+        ("CT", None),
+    ])
+    def test_entry_name_must_match_its_config(self, name, ssl):
+        # the log records the row's name, but the config is what would run
+        with pytest.raises(ConfigError, match=repr(name)):
+            AlgorithmEntry(name, ssl, detail="x")
+
     def test_oracle_entry_rejected(self):
         # include_oracle is the one switch for the Oracle row
         with pytest.raises(ConfigError, match="include_oracle"):
@@ -324,7 +335,8 @@ class TestSharedSplits:
         for *_, split in runs:
             for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
                 assert not idx.flags.writeable
-        assert ([replace(executed[i], variant=variant, wall_ms=0.0) for i, variant in plan.rows]
+        assert ([replace(executed[i], study=study, detail=detail, wall_ms=0.0)
+                 for i, study, detail in plan.rows]
                 == [replace(r, wall_ms=0.0) for r in serial])
 
 
@@ -389,8 +401,8 @@ class TestLogRoundTrip:
         back = parse_log(text)
         assert len(back) == len(results)
         for a, b in zip(results, back):
-            assert (a.dataset, a.rate, a.algorithm, a.variant, a.fold, a.trial) == \
-                   (b.dataset, b.rate, b.algorithm, b.variant, b.fold, b.trial)
+            assert (a.dataset, a.rate, a.algorithm, a.study, a.detail, a.fold, a.trial) == \
+                   (b.dataset, b.rate, b.algorithm, b.study, b.detail, b.fold, b.trial)
             assert a.max_test_acc == b.max_test_acc
             assert a.iterations == b.iterations
 
@@ -479,7 +491,7 @@ class TestTables:
         assert abs(cell.mean - np.mean(cell.accuracies)) < 1e-12
 
     def test_repeated_fold_trial_in_a_cell_rejected(self):
-        runs = [RunResult("d", 0.9, alg, "s/std", 0, 0, 50.0, 0, 1.0)
+        runs = [RunResult("d", 0.9, alg, "s", "std", 0, 0, 50.0, 0, 1.0)
                 for alg in ("supervised", "TBST")]
         with pytest.raises(DataError, match="'TBST' on 'd' holds a \\(fold, trial\\) more than once"):
             tables_from_results(runs + runs[1:])
