@@ -40,7 +40,7 @@ from .protocol import (
     run_grid,
     tables_from_results,
 )
-from .stats import paired_t_test, regularized_incomplete_beta, t_two_tailed_p
+from .stats import paired_t_test, t_two_tailed_p
 from .synthetic import make_blobs
 
 __version__ = "0.1.0"
@@ -51,7 +51,7 @@ __all__ = [
     "PseudoLabelBatch", "Rng", "RunResult", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "check_plan", "fit", "init_model",
     "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
-    "paired_t_test", "predict", "regularized_incomplete_beta", "run_algorithm", "run_grid",
-    "run_supervised", "save_csv", "select_by_count", "select_by_threshold", "split_features",
-    "t_two_tailed_p", "tables_from_results",
+    "paired_t_test", "predict", "run_algorithm", "run_grid", "run_supervised", "save_csv",
+    "select_by_count", "select_by_threshold", "split_features", "t_two_tailed_p",
+    "tables_from_results",
 ]

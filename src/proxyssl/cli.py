@@ -18,7 +18,7 @@ import os
 import sys
 
 from .dataset import load_csv, read_manifest, read_text
-from .errors import ConfigError, ProxySslError
+from .errors import ConfigError, DataError, ProxySslError
 from .protocol import (
     check_plan,
     format_log,
@@ -74,39 +74,39 @@ def write_tables(tables, out_dir):
 
 
 def series_points(tables):
-    """Supervised accuracy vs labeled fraction per (study, dataset).
+    """Supervised accuracy vs labeled fraction, {(study, dataset): sorted points}.
 
-    Emitted whenever a study has Supervised cells at two or more rates;
+    Emitted for each pair with Supervised cells at two or more rates;
     fraction = 1 - unlabeled rate.
     """
-    by_study = {}
+    points = {}
     for t in tables:
-        by_study.setdefault(t.study, []).append(t)
-    series = []
-    for study, tbls in by_study.items():
-        with_sup = [t for t in tbls if "Supervised" in t.row_labels]
-        if len(with_sup) < 2:
-            continue
-        datasets = []
-        for t in with_sup:
-            for ds in t.dataset_names:
-                if ds not in datasets:
-                    datasets.append(ds)
-        for ds in datasets:
-            pts = []
-            for t in with_sup:
-                cell = t.cells.get(("Supervised", ds))
-                if cell is not None:
-                    pts.append((round(1.0 - t.rate, 9), cell.mean))
-            if len(pts) >= 2:
-                series.append((study, ds, sorted(pts)))
-    return series
+        for ds in t.dataset_names:
+            cell = t.cells.get(("Supervised", ds))
+            if cell is not None:
+                points.setdefault((t.study, ds), []).append((round(1.0 - t.rate, 9), cell.mean))
+    return {key: sorted(pts) for key, pts in points.items() if len(pts) >= 2}
 
 
-def write_series(tables, out_dir):
+def _series_name(study, dataset):
+    return f"series_{study}_{dataset}.txt"
+
+
+def _check_series_names(pairs, error):
+    """Raise ``error`` when two (study, dataset) pairs would write one series file."""
+    owners = {}
+    for study, ds in pairs:
+        name = _series_name(study, ds)
+        first = owners.setdefault(name, (study, ds))
+        if first != (study, ds):
+            raise error(f"study {first[0]!r} dataset {first[1]!r} and study {study!r} "
+                        f"dataset {ds!r} would both write {name}")
+
+
+def write_series(series, out_dir):
     written = []
-    for study, ds, pts in series_points(tables):
-        path = os.path.join(out_dir, f"series_{study}_{ds}.txt")
+    for (study, ds), pts in series.items():
+        path = os.path.join(out_dir, _series_name(study, ds))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for frac, mean in pts:
                 fh.write(f"{frac:g} {mean:.4f}\n")
@@ -140,13 +140,18 @@ def write_reference_report(tables, reference, out_dir):
 def write_report(results, out_dir, alpha=ALPHA):
     """Tables and series of ``results``; ``run`` and ``report`` both write through here."""
     tables = tables_from_results(results, alpha=alpha)
-    return tables, write_tables(tables, out_dir) + write_series(tables, out_dir)
+    series = series_points(tables)
+    _check_series_names(series, DataError)
+    return tables, write_tables(tables, out_dir) + write_series(series, out_dir)
 
 
 def cmd_run(args):
     spec = parse_spec(args.spec)
     # a config error leaves no output directory; an unwritable one fails before training
     plan = check_plan(spec.grids, args.jobs)
+    # every study has a Supervised row, so each study at two or more rates writes series
+    _check_series_names([(grid.study, ds.name) for grid in spec.grids
+                        if len(grid.unlabeled_rates) > 1 for ds in grid.datasets], ConfigError)
     out_dir = _resolve_out(args.out, spec.out_dir)
     results = run_grid(plan, jobs=args.jobs)
     log_path = os.path.join(out_dir, LOG_NAME)
@@ -166,6 +171,8 @@ def cmd_report(args):
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     results = parse_log(read_text(args.log), source=args.log)
+    if not results:
+        raise DataError(f"{args.log}: no run lines")
     out_dir = _resolve_out(args.out)
     _, written = write_report(results, out_dir, alpha=args.alpha)
     for path in written:

@@ -69,6 +69,9 @@ class Dataset:
         missing = np.where(present == 0)[0]
         if missing.size:
             raise DataError(f"dataset {self.name!r}: class {missing[0]} has no samples")
+        if self.n_classes < 2:
+            raise DataError(f"dataset {self.name!r}: need at least 2 classes, "
+                            f"got {self.n_classes}")
         check_finite(self.features, f"dataset {self.name!r} features")
 
     @property

@@ -488,19 +488,21 @@ def render_table_text(table: ComparisonTable):
     """Aligned text table; +/- suffixes mark significance vs Supervised."""
     header = [f"study {table.study}, unlabeled rate {table.rate!r}"]
     width = max([len("algorithm")] + [len(l) for l in table.row_labels]) + 2
+    # each dataset column is as wide as its header, with at least one space before the name
+    columns = [(ds, max(10, len(ds) + 1)) for ds in table.dataset_names]
     cols = [f"{'algorithm':<{width}}"]
-    for ds in table.dataset_names:
-        cols.append(f"{ds:>10}")
+    for ds, w in columns:
+        cols.append(f"{ds:>{w}}")
     header.append("".join(cols))
     lines = header
     for label in table.row_labels:
         parts = [f"{label:<{width}}"]
-        for ds in table.dataset_names:
+        for ds, w in columns:
             cell = table.cells.get((label, ds))
             if cell is None:
-                parts.append(f"{'-':>10}")
+                parts.append(f"{'-':>{w}}")
             else:
-                parts.append(f"{cell.mean:.2f}{_MARKS[cell.significance]:<1}".rjust(10))
+                parts.append(f"{cell.mean:.2f}{_MARKS[cell.significance]:<1}".rjust(w))
         lines.append("".join(parts))
     return "\n".join(lines) + "\n"
 

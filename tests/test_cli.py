@@ -6,9 +6,10 @@ import random
 import pytest
 
 from proxyssl import protocol, stats
-from proxyssl.cli import build_parser, main, write_report
+from proxyssl.cli import build_parser, main, series_points, write_report, write_series
 from proxyssl.dataset import SAMPLING_MODES, save_csv
 from proxyssl.errors import ConfigError
+from proxyssl.protocol import CellResult, ComparisonTable
 from proxyssl.specfile import STUDY_KINDS, parse_spec
 from proxyssl.synthetic import make_blobs
 
@@ -73,6 +74,13 @@ class TestValidate:
         assert main(["validate", str(data_file)]) == 1
         err = capsys.readouterr().err
         assert f"error: {data_file}: 'utf-8' codec can't decode byte 0xff" in err
+
+    def test_one_class_dataset_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "one.csv"
+        p.write_text("# name=one d=2\n" + "".join(f"{i},0,{i}.0,1.0\n" for i in range(30)),
+                     encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert "dataset 'one': need at least 2 classes, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", ["{bad", "[1,2]"])
     def test_malformed_manifest_exit_1(self, data_file, capsys, payload):
@@ -467,6 +475,81 @@ class TestRunAndReport:
         assert main(["run", str(spec), "--out", str(out)]) == 1
         assert "must not contain" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_class_dataset_exit_1_before_output(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("# name=one d=2\n" + "".join(f"{i},0,{i}.0,1.0\n" for i in range(30)),
+                        encoding="utf-8")
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = supervised\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        assert "need at least 2 classes, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rates_of_a, code", [("0.9, 0.8", 2), ("0.9", 0)])
+    def test_series_name_shared_by_two_studies_exit_2_before_training(
+            self, tmp_path, capsys, monkeypatch, rates_of_a, code):
+        # study a_b on dataset c and study a on dataset b_c both name series_a_b_c.txt,
+        # but only a study at two or more rates writes series
+        paths = []
+        for name in ("c", "b_c"):
+            paths.append(tmp_path / f"{name}.csv")
+            save_csv(make_blobs(name, n=60, d=4, n_classes=2, separation=4.0, seed=1), paths[-1])
+        spec = tmp_path / "clash.ini"
+        spec.write_text(f"[global]\ndatasets = {paths[0]}, {paths[1]}\nn_folds = 2\nn_seeds = 1\n"
+                        "epochs = 1\n[study a_b]\nrates = 0.9, 0.8\nalgorithms = supervised\n"
+                        f"[study a]\nrates = {rates_of_a}\nalgorithms = supervised\n",
+                        encoding="utf-8")
+        executed = []
+        execute = protocol._execute_run
+        monkeypatch.setattr(protocol, "_execute_run",
+                            lambda *args: executed.append(args) or execute(*args))
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert ("study 'a_b' dataset 'c' and study 'a' dataset 'b_c' would both write "
+                    "series_a_b_c.txt") in err
+            assert executed == []
+            assert not out.exists()
+        else:
+            assert sorted(p.name for p in out.glob("series_*")) == ["series_a_b_b_c.txt",
+                                                                   "series_a_b_c.txt"]
+
+    def test_report_of_series_name_shared_by_two_studies_exit_1(self, tmp_path, capsys):
+        log = tmp_path / "clash.csv"
+        log.write_text("".join(f"{ds},{rate},supervised,{study}/std,0,0,50.0,0,1.000\n"
+                               for study, ds in (("a_b", "c"), ("a", "b_c"))
+                               for rate in (0.9, 0.8)), encoding="utf-8")
+        rep = tmp_path / "rep"
+        assert main(["report", str(log), "--out", str(rep)]) == 1
+        assert ("study 'a_b' dataset 'c' and study 'a' dataset 'b_c' would both write "
+                "series_a_b_c.txt") in capsys.readouterr().err
+        assert list(rep.glob("*")) == []
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_report_of_log_without_runs_exit_1(self, tmp_path, capsys, text):
+        log = tmp_path / "empty.csv"
+        log.write_text(text, encoding="utf-8")
+        rep = tmp_path / "rep"
+        assert main(["report", str(log), "--out", str(rep)]) == 1
+        assert f"error: {log}: no run lines" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_series_only_for_studies_at_two_rates_in_dataset_order(self, tmp_path):
+        def table(study, rate, base):
+            cells = {("Supervised", ds): CellResult(runs=[(0, 0, base + i)])
+                     for i, ds in enumerate(("zeta", "alpha"))}
+            return ComparisonTable(study, rate, ["zeta", "alpha"], ["Supervised"], cells)
+
+        series = series_points([table("one", 0.9, 60.0), table("two", 0.9, 70.0),
+                                table("two", 0.5, 80.0)])
+        assert list(series.items()) == [(("two", "zeta"), [(0.1, 70.0), (0.5, 80.0)]),
+                                        (("two", "alpha"), [(0.1, 71.0), (0.5, 81.0)])]
+        written = write_series(series, str(tmp_path))
+        assert [os.path.basename(p) for p in written] == ["series_two_zeta.txt",
+                                                          "series_two_alpha.txt"]
+        assert (tmp_path / "series_two_alpha.txt").read_text() == "0.1 71.0000\n0.5 81.0000\n"
 
     @pytest.mark.parametrize("global_extra, body, section, key", [
         ("", "[study s]\nalgorithms = supervised\n[bogus]\nfoo = 1\n", "[bogus]", "bogus"),

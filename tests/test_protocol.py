@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -483,6 +484,22 @@ class TestTables:
         assert text1 == text2
         csv1 = [render_table_delimited(t) for t in tables]
         assert all("study,rate,row,dataset,mean,significance" in c for c in csv1)
+
+    def test_text_columns_align_under_long_dataset_names(self):
+        names = ["d1", "ninechars", "tenchars10", "news_headlines_long"]
+        cells = {("Oracle", ds): CellResult(runs=[(0, 0, 80.0 + i)]) for i, ds in enumerate(names)}
+        cells[("TT", "tenchars10")] = CellResult(runs=[(0, 0, 91.25)], significance="better")
+        header, *rows = render_table_text(
+            ComparisonTable("s", 0.9, names, ["Oracle", "TT"], cells)).splitlines()[1:]
+        # each column ends where its header name ends; a name never touches the column before
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        assert header.split() == ["algorithm"] + names
+        for line, want in zip(rows, [["Oracle", "80.00", "81.00", "82.00", "83.00"],
+                                     ["TT", "-", "-", "91.25+", "-"]]):
+            assert len(line) == len(header)
+            fields = [line[a:b] for a, b in zip([0] + ends, ends)]
+            assert [f.strip() for f in fields] == want
+            assert all(f.startswith(" ") for f in fields[1:])
 
     def test_mean_matches_runs(self):
         results = run_grid(check_plan([small_grid(include_oracle=False, n_seeds=2)]))

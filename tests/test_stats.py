@@ -3,14 +3,15 @@ import math
 import pytest
 
 from proxyssl.numerics import Rng
-from proxyssl.stats import paired_t_test, regularized_incomplete_beta, t_two_tailed_p
+from proxyssl.stats import paired_t_test, t_two_tailed_p
 
 
 def quad_incomplete_beta(a, b, x, h=1.0 / 64, u_max=4.0):
     """Tanh-sinh quadrature of the beta integrand over (0, x).
 
-    Independent of the continued-fraction path; the double-exponential node
-    spacing absorbs the integrable endpoint singularity when a < 1.
+    An oracle independent of the closed-form series in ``t_two_tailed_p``; the
+    double-exponential node spacing absorbs the integrable endpoint
+    singularity when a < 1.
     """
     if x == 0.0:
         return 0.0
@@ -28,46 +29,6 @@ def quad_incomplete_beta(a, b, x, h=1.0 / 64, u_max=4.0):
     integral = total * h * 0.5 * x
     norm = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     return integral / norm
-
-
-class TestIncompleteBeta:
-    def test_analytic_uniform(self):
-        for x in (0.0, 0.1, 0.35, 0.5, 0.77, 1.0):
-            assert abs(regularized_incomplete_beta(1, 1, x) - x) < 1e-12
-
-    def test_analytic_power_law(self):
-        for a in (0.5, 2.0, 3.5):
-            for x in (0.2, 0.6, 0.9):
-                assert abs(regularized_incomplete_beta(a, 1, x) - x**a) < 1e-12
-
-    def test_analytic_arcsine(self):
-        for x in (0.1, 0.3, 0.5, 0.8):
-            want = (2.0 / math.pi) * math.asin(math.sqrt(x))
-            assert abs(regularized_incomplete_beta(0.5, 0.5, x) - want) < 1e-12
-
-    def test_symmetry(self):
-        rng = Rng(91)
-        for _ in range(50):
-            a = float(rng.uniform(0.2, 8))
-            b = float(rng.uniform(0.2, 8))
-            x = float(rng.uniform(0.01, 0.99))
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_against_quadrature_oracle(self):
-        cases = [(2.0, 0.5, 0.3), (1.5, 3.5, 0.62), (4.0, 4.0, 0.5),
-                 (0.5, 2.0, 0.15), (7.0, 1.5, 0.92)]
-        for a, b, x in cases:
-            got = regularized_incomplete_beta(a, b, x)
-            want = quad_incomplete_beta(a, b, x)
-            assert abs(got - want) < 1e-8, (a, b, x, got, want)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0, 1, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1, 1, 1.5)
 
 
 class TestTTailProbability:
@@ -90,6 +51,24 @@ class TestTTailProbability:
 
     def test_infinite_t(self):
         assert t_two_tailed_p(math.inf, 3) == 0.0
+
+    def test_against_quadrature_oracle(self):
+        # P(|T_df| >= t) = I_x(df/2, 1/2) at x = df / (df + t^2)
+        for df in (1, 2, 3, 7, 14, 29):
+            for t in (1e-4, 0.3, 1.7, 4.0, 11.0):
+                got = t_two_tailed_p(t, df)
+                want = quad_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+                assert abs(got - want) < 1e-8, (df, t, got, want)
+
+    def test_analytic_low_df(self):
+        for t in (0.0, 1e-4, 0.3, -1.7, 4.0, 11.0, 1e6):
+            assert abs(t_two_tailed_p(t, 1) - (1.0 - 2.0 * math.atan(abs(t)) / math.pi)) < 1e-14
+            assert abs(t_two_tailed_p(t, 2) - (1.0 - abs(t) / math.sqrt(2.0 + t * t))) < 1e-14
+
+    @pytest.mark.parametrize("df", [2.5, 0])
+    def test_df_not_a_positive_integer_rejected(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            t_two_tailed_p(1.0, df)
 
 
 class TestPairedTTest:
