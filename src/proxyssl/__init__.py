@@ -36,7 +36,6 @@ from .protocol import (
     ExperimentGrid,
     RunResult,
     check_plan,
-    mark_significance,
     run_grid,
     tables_from_results,
 )
@@ -50,8 +49,7 @@ __all__ = [
     "ExperimentGrid", "MlpModel", "NumericError", "ProtocolError", "ProxySslError",
     "PseudoLabelBatch", "Rng", "RunResult", "SemiSplit", "ShapeError", "SslConfig",
     "SslOutcome", "TrainConfig", "bootstrap_sample", "check_plan", "fit", "init_model",
-    "load_csv", "majority_vote", "make_blobs", "make_semi_split", "mark_significance",
-    "paired_t_test", "predict", "run_algorithm", "run_grid", "run_supervised", "save_csv",
-    "select_by_count", "select_by_threshold", "split_features", "t_two_tailed_p",
-    "tables_from_results",
+    "load_csv", "majority_vote", "make_blobs", "make_semi_split", "paired_t_test", "predict",
+    "run_algorithm", "run_grid", "run_supervised", "save_csv", "select_by_count",
+    "select_by_threshold", "split_features", "t_two_tailed_p", "tables_from_results",
 ]

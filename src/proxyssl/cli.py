@@ -23,13 +23,13 @@ from .protocol import (
     check_plan,
     format_log,
     parse_log,
+    planned_results,
     render_table_delimited,
     render_table_text,
     run_grid,
     tables_from_results,
 )
 from .specfile import parse_spec
-from .stats import ALPHA
 
 ENV_OUT = "PROXYSSL_OUT"
 LOG_NAME = "run_log.csv"
@@ -56,23 +56,6 @@ def _resolve_out(cli_out, spec_out=None):
     return out
 
 
-def _table_paths(out_dir, table):
-    stem = f"table_{table.study}_rate{table.rate!r}"
-    return os.path.join(out_dir, stem + ".txt"), os.path.join(out_dir, stem + ".csv")
-
-
-def write_tables(tables, out_dir):
-    written = []
-    for table in tables:
-        txt, csv = _table_paths(out_dir, table)
-        with open(txt, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_table_text(table))
-        with open(csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_table_delimited(table))
-        written += [txt, csv]
-    return written
-
-
 def series_points(tables):
     """Supervised accuracy vs labeled fraction, {(study, dataset): sorted points}.
 
@@ -88,94 +71,91 @@ def series_points(tables):
     return {key: sorted(pts) for key, pts in points.items() if len(pts) >= 2}
 
 
-def _series_name(study, dataset):
-    return f"series_{study}_{dataset}.txt"
+def report_files(results, reference=None):
+    """Every report file of ``results`` as {file name: text}, built before any is written.
+
+    Two text forms of each (study, rate) table, then a series per (study,
+    dataset) from ``series_points``, then, given ``reference`` (dataset,
+    rate, row) -> expected mean, ``reference_delta.csv`` with a line per
+    (study, cell) that a key names (not gated). Raises ``DataError`` for
+    runs the tables reject, two outputs with one name, or a reference key
+    that names no cell.
+    """
+    tables = tables_from_results(results)
+    files, owners = {}, {}
+
+    def add(name, owner, text):
+        if "/" in name or "\0" in name:
+            raise DataError(f"{owner} would write {name!r}, which is no file name")
+        if name in owners:
+            raise DataError(f"{owners[name]} and {owner} would both write {name}")
+        owners[name], files[name] = owner, text
+
+    for t in tables:
+        stem, owner = f"table_{t.study}_rate{t.rate!r}", f"study {t.study!r} rate {t.rate!r}"
+        add(stem + ".txt", owner, render_table_text(t))
+        add(stem + ".csv", owner, render_table_delimited(t))
+    for (study, ds), pts in series_points(tables).items():
+        add(f"series_{study}_{ds}.txt", f"study {study!r} dataset {ds!r}",
+            "".join(f"{frac:g} {mean:.4f}\n" for frac, mean in pts))
+    if reference:
+        lines, named = ["study,dataset,rate,row,mean,reference,delta"], set()
+        for t in tables:
+            for label in t.row_labels:
+                for ds in t.dataset_names:
+                    cell, key = t.cells.get((label, ds)), (ds, t.rate, label)
+                    if key in reference and cell is not None:
+                        named.add(key)
+                        ref = reference[key]
+                        lines.append(f"{t.study},{ds},{t.rate!r},{label},{cell.mean:.2f},"
+                                     f"{ref:.2f},{cell.mean - ref:+.2f}")
+        for ds, rate, row in reference:
+            if (ds, rate, row) not in named:
+                key = f"{ds}@{rate!r}/{row}"
+                raise DataError(f"[reference] key {key!r} names no table cell; "
+                                f"each key names a dataset, a rate and a row of some study")
+        add("reference_delta.csv", "[reference]", "\n".join(lines) + "\n")
+    return files
 
 
-def _check_series_names(pairs, error):
-    """Raise ``error`` when two (study, dataset) pairs would write one series file."""
-    owners = {}
-    for study, ds in pairs:
-        name = _series_name(study, ds)
-        first = owners.setdefault(name, (study, ds))
-        if first != (study, ds):
-            raise error(f"study {first[0]!r} dataset {first[1]!r} and study {study!r} "
-                        f"dataset {ds!r} would both write {name}")
-
-
-def write_series(series, out_dir):
+def write_tables(files, out_dir):
+    """Write every file of ``report_files`` into ``out_dir``; returns their paths."""
     written = []
-    for (study, ds), pts in series.items():
-        path = os.path.join(out_dir, _series_name(study, ds))
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for frac, mean in pts:
-                fh.write(f"{frac:g} {mean:.4f}\n")
+            fh.write(text)
         written.append(path)
     return written
-
-
-def write_reference_report(tables, reference, out_dir):
-    """Compare cell means against user-supplied expected values (not gated)."""
-    lines = ["dataset,rate,row,mean,reference,delta"]
-    for table in tables:
-        for label in table.row_labels:
-            for ds in table.dataset_names:
-                key = (ds, table.rate, label)
-                if key not in reference:
-                    continue
-                cell = table.cells.get((label, ds))
-                if cell is None:
-                    continue
-                ref = reference[key]
-                lines.append(f"{ds},{table.rate!r},{label},{cell.mean:.2f},{ref:.2f},"
-                             f"{cell.mean - ref:+.2f}")
-    if len(lines) == 1:
-        return None
-    path = os.path.join(out_dir, "reference_delta.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def write_report(results, out_dir, alpha=ALPHA):
-    """Tables and series of ``results``; ``run`` and ``report`` both write through here."""
-    tables = tables_from_results(results, alpha=alpha)
-    series = series_points(tables)
-    _check_series_names(series, DataError)
-    return tables, write_tables(tables, out_dir) + write_series(series, out_dir)
 
 
 def cmd_run(args):
     spec = parse_spec(args.spec)
     # a config error leaves no output directory; an unwritable one fails before training
     plan = check_plan(spec.grids, args.jobs)
-    # every study has a Supervised row, so each study at two or more rates writes series
-    _check_series_names([(grid.study, ds.name) for grid in spec.grids
-                        if len(grid.unlabeled_rates) > 1 for ds in grid.datasets], ConfigError)
+    # the report of the plan names every file this run writes, and holds its every cell
+    try:
+        report_files(planned_results(plan), spec.reference)
+    except DataError as exc:
+        raise ConfigError(f"{args.spec}: {exc}") from None
     out_dir = _resolve_out(args.out, spec.out_dir)
     results = run_grid(plan, jobs=args.jobs)
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))
-    tables, written = write_report(results, out_dir)
-    ref_path = write_reference_report(tables, spec.reference, out_dir)
+    written = write_tables(report_files(results, spec.reference), out_dir)
     print(f"wrote {log_path} ({len(results)} runs)")
     for path in written:
         print(f"wrote {path}")
-    if ref_path:
-        print(f"wrote {ref_path}")
     return 0
 
 
 def cmd_report(args):
-    if not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     results = parse_log(read_text(args.log), source=args.log)
     if not results:
         raise DataError(f"{args.log}: no run lines")
-    out_dir = _resolve_out(args.out)
-    _, written = write_report(results, out_dir, alpha=args.alpha)
-    for path in written:
+    files = report_files(results)
+    for path in write_tables(files, _resolve_out(args.out)):
         print(f"wrote {path}")
     return 0
 
@@ -204,8 +184,6 @@ def build_parser():
     p = sub.add_parser("report", help="rebuild tables from an existing run log")
     p.add_argument("log", help="run log path")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--alpha", type=float, default=ALPHA,
-                   help=f"significance level (default {ALPHA:.2f})")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -35,14 +35,15 @@ SAMPLING_MODES = {
 _STREAM_FOLDS = 0
 _STREAM_MASK = 1
 
-# separators of the run log, which no dataset, study or row-detail name may hold:
-# ',' between fields, '/' between study and row detail, a line break between records
-LOG_FIELD_SEPARATORS = ",/\n\r"
+# what no dataset, study or row-detail name may hold: the run log's separators (',' between
+# fields, '/' between study and row detail, a line break between records) and NUL, since
+# these names become parts of the report's file names
+UNSAFE_NAME_CHARS = ",/\n\r\0"
 
 
 def check_log_field(what, value, error):
-    if any(ch in value for ch in LOG_FIELD_SEPARATORS):
-        raise error(f"{what} {value!r} must not contain ',', '/' or a line break")
+    if any(ch in value for ch in UNSAFE_NAME_CHARS):
+        raise error(f"{what} {value!r} must not contain ',', '/', a line break or a NUL")
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .dataset import SAMPLING_MODES, Dataset, check_log_field, make_semi_split
 from .engine import TRI_TRAINING, SslConfig, run_algorithm, run_supervised
 from .errors import ConfigError, DataError, ProtocolError
 from .numerics import Rng
-from .stats import ALPHA, paired_t_test
+from .stats import paired_t_test
 
 BASELINE_ALGORITHMS = ("oracle", "supervised")
 
@@ -345,6 +345,14 @@ def run_grid(plan, jobs=1, progress=None):
     return [replace(executed[i], study=study, detail=detail) for i, study, detail in plan.rows]
 
 
+def planned_results(plan):
+    """The rows ``run_grid`` would return for ``plan``, with zero scores: what a
+    report of the plan holds, before any training."""
+    return [RunResult(ds.name, rate, entry.algorithm, study, detail, fold, trial, 0.0, 0, 0.0)
+            for i, study, detail in plan.rows
+            for _, ds, rate, entry, fold, trial, _ in [plan.runs[i]]]
+
+
 def format_log(results):
     lines = []
     for r in results:
@@ -410,12 +418,15 @@ class ComparisonTable:
     cells: dict  # (row_label, dataset) -> CellResult
 
 
-def tables_from_results(results, alpha=ALPHA):
+def tables_from_results(results):
     """Group run results into one ComparisonTable per (study, rate block).
 
     Oracle runs (rate 0) attach as the leading row of every rate block of
     their study. Ordering follows first appearance, so identical logs render
-    identical tables.
+    identical tables. Each cell is checked once: its (fold, trial) pairs are
+    distinct, and an SSL cell beside a Supervised cell holds the same two or
+    more pairs, which the paired t-test at ``stats.ALPHA`` then marks; anything
+    else is a DataError.
     """
     by_study = {}
     for r in results:
@@ -444,41 +455,27 @@ def tables_from_results(results, alpha=ALPHA):
                 cells.setdefault((label, r.dataset), CellResult(runs=[])).runs.append(
                     (r.fold, r.trial, r.max_test_acc)
                 )
-            for (label, ds), cell in cells.items():
+            for cell in cells.values():
                 cell.runs.sort(key=lambda e: (e[0], e[1]))
+            for (label, ds), cell in cells.items():
+                where = f"study {study!r} at rate {rate!r}: cell {label!r} on {ds!r}"
                 pairs = cell.pairs()
                 if len(set(pairs)) < len(pairs):
-                    raise DataError(f"study {study!r} at rate {rate!r}: cell {label!r} on "
-                                    f"{ds!r} holds a (fold, trial) more than once")
-            table = ComparisonTable(study, rate, datasets, rows, cells)
-            if "Supervised" in rows:
-                mark_significance(table, alpha)
-            tables.append(table)
+                    raise DataError(f"{where} holds a (fold, trial) more than once")
+                sup = cells.get(("Supervised", ds))
+                if label in ("Supervised", "Oracle") or sup is None:
+                    continue
+                if pairs != sup.pairs() or len(pairs) < 2:
+                    raise DataError(f"{where} must hold the same two or more (fold, trial) "
+                                    f"pairs as Supervised for the paired t-test, got "
+                                    f"{len(pairs)} against {len(sup.runs)}")
+                res = paired_t_test(cell.accuracies, sup.accuracies)
+                if not res.significant:
+                    cell.significance = "none"
+                else:
+                    cell.significance = "better" if res.direction > 0 else "worse"
+            tables.append(ComparisonTable(study, rate, datasets, rows, cells))
     return tables
-
-
-def mark_significance(table: ComparisonTable, alpha=ALPHA):
-    """Mark each SSL cell better/worse/none against the matched Supervised cell."""
-    if "Supervised" not in table.row_labels:
-        raise ProtocolError(f"table {table.study}@{table.rate} has no Supervised row to compare")
-    for label in table.row_labels:
-        if label in ("Supervised", "Oracle"):
-            continue
-        for ds in table.dataset_names:
-            cell = table.cells.get((label, ds))
-            sup = table.cells.get(("Supervised", ds))
-            if cell is None or sup is None:
-                continue
-            if cell.pairs() != sup.pairs():
-                raise ProtocolError(
-                    f"unmatched (fold, trial) pairing for {label!r} vs Supervised on {ds!r}"
-                )
-            res = paired_t_test(cell.accuracies, sup.accuracies, alpha)
-            if not res.significant:
-                cell.significance = "none"
-            else:
-                cell.significance = "better" if res.direction > 0 else "worse"
-    return table
 
 
 _MARKS = {"": "", "none": "", "better": "+", "worse": "-"}

@@ -1,8 +1,8 @@
 """Experiment spec files: INI text with a ``[global]`` section, one
 ``[study <name>]`` section per table and an optional ``[reference]`` section
 of expected cell means (``<dataset>@<rate>/<row> = <value>``) that the run
-report compares against without gating anything; a key that names no cell
-of a study's tables is a ConfigError. README.md shows an example.
+report compares against without gating anything (``cli.report_files``
+rejects a key that names no cell). README.md shows an example.
 
 Every key a section takes is declared once, in ``GLOBAL_KEYS``,
 ``STUDY_KEYS`` or ``LIST_KEYS``, with the config field it sets. A key that is
@@ -221,12 +221,6 @@ def parse_spec(path):
     if not grids:
         raise ConfigError(f"{path}: no [study ...] sections")
 
-    # the cells of every study's tables; the Oracle row leads each rate's table
-    cells = set()
-    for grid in grids:
-        labels = ["Oracle"] * grid.include_oracle + [e.row_label() for e in grid.algorithms]
-        cells |= {(ds.name, rate, label) for ds in grid.datasets
-                  for rate in grid.unlabeled_rates for label in labels}
     reference = {}
     if "reference" in cp:
         for key, raw in cp["reference"].items():
@@ -236,9 +230,6 @@ def parse_spec(path):
                 cell = (ds_name.strip(), float(rate), row.strip())
             except ValueError:
                 raise ConfigError(f"{path}: [reference] key {key!r} must look like 'news@0.90/TTWD'")
-            if cell not in cells:
-                raise ConfigError(f"{path}: [reference] key {key!r} names no table cell; "
-                                  f"each key names a dataset, a rate and a row of some study")
             try:
                 reference[cell] = float(raw)
             except ValueError:

@@ -369,6 +369,6 @@ def test_replication_harness_structure(tmp_path):
         assert datasets == [f"emb{i}" for i in range(4)]
 
     deltas = (out / "reference_delta.csv").read_text().splitlines()
-    assert deltas[0] == "dataset,rate,row,mean,reference,delta"
+    assert deltas[0] == "study,dataset,rate,row,mean,reference,delta"
     assert len(deltas) == 3  # two reference cells compared, none gated
     ok("replication harness: 3 rates x 7 rows x 4 datasets, deltas reported")

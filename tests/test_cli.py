@@ -1,15 +1,14 @@
 import inspect
 import json
-import os
 import random
 
 import pytest
 
 from proxyssl import protocol, stats
-from proxyssl.cli import build_parser, main, series_points, write_report, write_series
+from proxyssl.cli import build_parser, main, report_files, series_points
 from proxyssl.dataset import SAMPLING_MODES, save_csv
 from proxyssl.errors import ConfigError
-from proxyssl.protocol import CellResult, ComparisonTable
+from proxyssl.protocol import CellResult, ComparisonTable, RunResult
 from proxyssl.specfile import STUDY_KINDS, parse_spec
 from proxyssl.synthetic import make_blobs
 
@@ -397,9 +396,10 @@ class TestRunAndReport:
                                           "demo@0.8/Supervised = 80\n")
         out = tmp_path / "out"
         assert main(["run", str(spec), "--out", str(out)]) == 0
-        rows = [line.split(",")[:3] for line in
-                (out / "reference_delta.csv").read_text().splitlines()[1:]]
-        assert rows == [["demo", "0.5", "Oracle"], ["demo", "0.8", "Supervised"]]
+        lines = (out / "reference_delta.csv").read_text().splitlines()
+        assert lines[0] == "study,dataset,rate,row,mean,reference,delta"
+        assert [line.split(",")[:4] for line in lines[1:]] == [["s", "demo", "0.5", "Oracle"],
+                                                               ["sw", "demo", "0.8", "Supervised"]]
 
     def test_unwritable_out_fails_before_training(self, tmp_path, data_file, capsys,
                                                   monkeypatch):
@@ -476,6 +476,26 @@ class TestRunAndReport:
         assert "must not contain" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nul_in_study_name_exit_2_before_output(self, tmp_path, data_file, capsys):
+        spec = write_spec(tmp_path, data_file,
+                          "[study a\0b]\nrates = 0.5\nalgorithms = supervised\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 2
+        assert "study name 'a\\x00b' must not contain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nul_in_dataset_name_exit_1_before_output(self, tmp_path, capsys):
+        data = tmp_path / "nul.csv"
+        data.write_text("# name=a\0b d=1\n" + "".join(f"{i},{i % 2},{i}.0\n" for i in range(8)),
+                        encoding="utf-8")
+        assert main(["validate", str(data)]) == 1
+        assert "dataset name 'a\\x00b' must not contain" in capsys.readouterr().err
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0.5\nalgorithms = supervised\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        assert "dataset name 'a\\x00b' must not contain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_class_dataset_exit_1_before_output(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("# name=one d=2\n" + "".join(f"{i},0,{i}.0,1.0\n" for i in range(30)),
@@ -525,7 +545,18 @@ class TestRunAndReport:
         assert main(["report", str(log), "--out", str(rep)]) == 1
         assert ("study 'a_b' dataset 'c' and study 'a' dataset 'b_c' would both write "
                 "series_a_b_c.txt") in capsys.readouterr().err
-        assert list(rep.glob("*")) == []
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("ds", ["a/b", "a\0b"])
+    def test_report_of_dataset_name_unfit_for_a_file_exit_1(self, tmp_path, capsys, ds):
+        # at two rates the dataset name becomes part of a series file name
+        log = tmp_path / "bad.csv"
+        log.write_text("".join(f"{ds},{rate},supervised,s/std,0,0,50.0,0,1.000\n"
+                               for rate in (0.9, 0.8)), encoding="utf-8")
+        rep = tmp_path / "rep"
+        assert main(["report", str(log), "--out", str(rep)]) == 1
+        assert f"study 's' dataset {ds!r} would write" in capsys.readouterr().err
+        assert not rep.exists()
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_report_of_log_without_runs_exit_1(self, tmp_path, capsys, text):
@@ -536,7 +567,7 @@ class TestRunAndReport:
         assert f"error: {log}: no run lines" in capsys.readouterr().err
         assert not rep.exists()
 
-    def test_series_only_for_studies_at_two_rates_in_dataset_order(self, tmp_path):
+    def test_series_only_for_studies_at_two_rates_in_dataset_order(self):
         def table(study, rate, base):
             cells = {("Supervised", ds): CellResult(runs=[(0, 0, base + i)])
                      for i, ds in enumerate(("zeta", "alpha"))}
@@ -546,10 +577,14 @@ class TestRunAndReport:
                                 table("two", 0.5, 80.0)])
         assert list(series.items()) == [(("two", "zeta"), [(0.1, 70.0), (0.5, 80.0)]),
                                         (("two", "alpha"), [(0.1, 71.0), (0.5, 81.0)])]
-        written = write_series(series, str(tmp_path))
-        assert [os.path.basename(p) for p in written] == ["series_two_zeta.txt",
-                                                          "series_two_alpha.txt"]
-        assert (tmp_path / "series_two_alpha.txt").read_text() == "0.1 71.0000\n0.5 81.0000\n"
+        runs = [RunResult(ds, rate, "supervised", study, "std", 0, 0, base + i, 0, 1.0)
+                for study, rate, base in (("one", 0.9, 60.0), ("two", 0.9, 70.0),
+                                          ("two", 0.5, 80.0))
+                for i, ds in enumerate(("zeta", "alpha"))]
+        files = report_files(runs)
+        assert [name for name in files if name.startswith("series_")] == [
+            "series_two_zeta.txt", "series_two_alpha.txt"]
+        assert files["series_two_alpha.txt"] == "0.1 71.0000\n0.5 81.0000\n"
 
     @pytest.mark.parametrize("global_extra, body, section, key", [
         ("", "[study s]\nalgorithms = supervised\n[bogus]\nfoo = 1\n", "[bogus]", "bogus"),
@@ -613,17 +648,11 @@ class TestRunAndReport:
         assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert "unique" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["5", "-1", "nan", "0", "1"])
-    def test_alpha_outside_unit_interval_exit_2_before_reading(self, tmp_path, capsys, alpha):
-        # the log does not exist: reading it first would exit 1
-        assert main(["report", str(tmp_path / "absent.csv"), "--alpha", alpha]) == 2
+    def test_one_significance_level(self, capsys):
+        assert inspect.signature(stats.paired_t_test).parameters["alpha"].default == stats.ALPHA
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "log.csv", "--alpha", "0.05"])
         assert "--alpha" in capsys.readouterr().err
-
-    def test_one_significance_level(self):
-        for fn in (stats.paired_t_test, protocol.tables_from_results,
-                   protocol.mark_significance, write_report):
-            assert inspect.signature(fn).parameters["alpha"].default == stats.ALPHA
-        assert build_parser().parse_args(["report", "log.csv"]).alpha == stats.ALPHA
 
     def test_repeated_run_in_a_cell_exit_1(self, tmp_path, capsys):
         lines = [f"mini,0.9,{alg},s/std,0,0,50.0,0,1.000" for alg in ("supervised", "TBST")]
@@ -631,6 +660,21 @@ class TestRunAndReport:
         log.write_text("\n".join(lines + lines[1:]) + "\n", encoding="utf-8")
         assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
         assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("ssl_lines", [
+        ["mini,0.9,TBST,s/std,0,0,51.0,1,1.000"],
+        ["mini,0.9,TBST,s/std,0,0,51.0,1,1.000", "mini,0.9,TBST,s/std,0,2,52.0,1,1.000"],
+    ], ids=["one-run", "unmatched"])
+    def test_report_of_unpaired_cell_exit_1_without_output(self, tmp_path, capsys, ssl_lines):
+        # Supervised holds (0, 0) and (0, 1); the t-test needs the same two or more pairs
+        sup = [f"mini,0.9,supervised,s/std,0,{trial},50.0,0,1.000" for trial in range(2)]
+        log = tmp_path / "unpaired.csv"
+        log.write_text("\n".join(sup + ssl_lines) + "\n", encoding="utf-8")
+        assert main(["report", str(log), "--out", str(tmp_path / "r")]) == 1
+        assert ("cell 'TBST' on 'mini' must hold the same two or more (fold, trial) pairs"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("field, value", [(1, "nan"), (1, "inf"), (1, "1.0"), (1, "-0.5"),
                                               (6, "nan"), (6, "-inf"), (8, "nan")])

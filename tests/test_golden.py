@@ -1,8 +1,10 @@
 """Golden fingerprint: `proxyssl run` on a tiny spec with every study kind.
 
 The digest is the SHA-256 of run_log.csv with its wall_ms column removed.
-A refactor or speedup keeps it unchanged; a change that legitimately moves
-the numbers re-pins it and says which numbers moved and why.
+A second digest pins the rendered report: every table_* and series_* file
+of the run, in sorted name order, as its name, a newline and its bytes. A
+refactor or speedup keeps both unchanged; a change that legitimately moves
+the numbers re-pins them and says which numbers moved and why.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from proxyssl.dataset import save_csv
 from proxyssl.synthetic import make_blobs
 
 GOLDEN_SHA256 = "7b1df63ba3b8543cf911187894f8752aa1becd9bf1d749f37891738c50b77257"
+TABLES_SHA256 = "eb896b8982567d0bc072c6211ebbae284b372488e35b7e9c37599f80cfd75b76"
 
 SSL_ALGORITHMS = {"TBST", "CBST", "CT", "TT", "TTWD"}
 
@@ -70,6 +73,14 @@ def log_fingerprint(text):
     return hashlib.sha256(stripped.encode("utf-8")).hexdigest()
 
 
+def tables_fingerprint(out):
+    names = sorted(p.name for p in out.iterdir() if p.name.startswith(("table_", "series_")))
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode("utf-8") + b"\n" + (out / name).read_bytes())
+    return digest.hexdigest(), len(names)
+
+
 def run_golden(tmp_path, *options):
     ds = make_blobs("gold", n=150, d=8, n_classes=3, separation=3.0, seed=4)
     data = tmp_path / "gold.csv"
@@ -98,5 +109,12 @@ def test_golden_run_log(tmp_path):
 
 
 def test_golden_run_log_jobs_2(tmp_path):
-    # worker processes with single-threaded BLAS write the same log
+    # worker processes with single-threaded BLAS write the same log and tables
     assert log_fingerprint(run_golden(tmp_path, "--jobs", "2")) == GOLDEN_SHA256
+    assert tables_fingerprint(tmp_path / "out") == (TABLES_SHA256, 17)
+
+
+def test_golden_tables(tmp_path):
+    run_golden(tmp_path)
+    # 7 studies at one rate, sweep at two: 8 tables in two forms, and sweep's series
+    assert tables_fingerprint(tmp_path / "out") == (TABLES_SHA256, 17)

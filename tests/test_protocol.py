@@ -29,7 +29,6 @@ from proxyssl.protocol import (
     check_plan,
     derive_seed,
     format_log,
-    mark_significance,
     parse_log,
     render_table_delimited,
     render_table_text,
@@ -416,55 +415,44 @@ class TestLogRoundTrip:
             parse_log("a,0.9,supervised,nostudy,0,0,50.0,0,1.0\n")
 
 
-def synthetic_table(ssl_accs, sup_accs, label="TT"):
-    rows = ["Supervised", label]
-    cells = {
-        ("Supervised", "d1"): CellResult(runs=[(f, t, sup_accs[f * 5 + t])
-                                               for f in range(3) for t in range(5)]),
-        (label, "d1"): CellResult(runs=[(f, t, ssl_accs[f * 5 + t])
-                                        for f in range(3) for t in range(5)]),
-    }
-    return ComparisonTable("s", 0.9, ["d1"], rows, cells)
+def row_runs(algorithm, accs, rate=0.9):
+    """One row's 3 folds x 5 trials on dataset d1 of study s."""
+    return [RunResult("d1", rate, algorithm, "s", "std", f, t, float(accs[f * 5 + t]), 0, 1.0)
+            for f in range(3) for t in range(5)]
 
 
 class TestMarkSignificance:
+    def marks(self, runs):
+        (table,) = tables_from_results(runs)
+        return {label: cell.significance for (label, _), cell in table.cells.items()}
+
     def test_identical_cells_none(self):
-        accs = list(np.linspace(80, 90, 15))
-        table = mark_significance(synthetic_table(accs, accs))
-        assert table.cells[("TT", "d1")].significance == "none"
+        accs = np.linspace(80, 90, 15)
+        assert self.marks(row_runs("supervised", accs) + row_runs("TT", accs))["TT"] == "none"
 
     def test_constant_shift_better(self):
-        sup = list(np.linspace(80, 90, 15))
-        ssl = [a + 5.0 for a in sup]
-        table = mark_significance(synthetic_table(ssl, sup))
-        assert table.cells[("TT", "d1")].significance == "better"
+        sup = np.linspace(80, 90, 15)
+        assert self.marks(row_runs("supervised", sup) + row_runs("TT", sup + 5.0))["TT"] == "better"
 
     def test_constant_shift_worse(self):
-        sup = list(np.linspace(80, 90, 15))
-        ssl = [a - 5.0 for a in sup]
-        table = mark_significance(synthetic_table(ssl, sup))
-        assert table.cells[("TT", "d1")].significance == "worse"
+        sup = np.linspace(80, 90, 15)
+        assert self.marks(row_runs("supervised", sup) + row_runs("TT", sup - 5.0))["TT"] == "worse"
 
-    def test_missing_supervised_row_rejected(self):
-        table = ComparisonTable("s", 0.9, ["d1"], ["TT"], {
-            ("TT", "d1"): CellResult(runs=[(0, 0, 80.0), (0, 1, 81.0)])})
-        with pytest.raises(ProtocolError):
-            mark_significance(table)
+    def test_table_without_supervised_unmarked(self):
+        assert self.marks(row_runs("TT", np.linspace(80, 90, 15))) == {"TT": ""}
 
     def test_unmatched_pairing_rejected(self):
-        table = synthetic_table(list(np.linspace(80, 90, 15)), list(np.linspace(80, 90, 15)))
-        table.cells[("TT", "d1")].runs = table.cells[("TT", "d1")].runs[:-1] + [(9, 9, 85.0)]
-        with pytest.raises(ProtocolError, match="pairing"):
-            mark_significance(table)
+        accs = np.linspace(80, 90, 15)
+        runs = row_runs("supervised", accs) + row_runs("TT", accs)
+        runs[-1] = replace(runs[-1], fold=9)
+        with pytest.raises(DataError, match="same two or more"):
+            tables_from_results(runs)
 
     def test_oracle_row_not_marked(self):
-        accs = list(np.linspace(80, 90, 15))
-        table = synthetic_table(accs, accs, label="TT")
-        table.row_labels.insert(0, "Oracle")
-        table.cells[("Oracle", "d1")] = CellResult(
-            runs=[(f, t, 95.0) for f in range(3) for t in range(5)])
-        mark_significance(table)
-        assert table.cells[("Oracle", "d1")].significance == ""
+        accs = np.linspace(80, 90, 15)
+        marks = self.marks(row_runs("oracle", accs + 10.0, rate=0.0)
+                           + row_runs("supervised", accs) + row_runs("TT", accs))
+        assert marks == {"Oracle": "", "Supervised": "", "TT": "none"}
 
 
 class TestTables:
