@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import Rng, check_finite
+from .numerics import Rng
 
 # bootstrap sampling mode -> (sample size as a multiple of the labeled count x or,
 # for three disjoint thirds of the labeled set, None; replace; fewest labeled samples)
@@ -65,15 +65,19 @@ class Dataset:
             raise DataError(f"dataset {self.name!r}: labels length != n rows")
         if self.labels.min() < 0:
             raise DataError(f"dataset {self.name!r}: negative label {self.labels.min()}")
-        present = np.bincount(self.labels)
-        self.n_classes = len(present)
-        missing = np.where(present == 0)[0]
+        self.n_classes = int(self.labels.max()) + 1
+        # labels >= n share the counter at n, so a huge label allocates nothing; n rows
+        # cover at most n classes, so such a label always leaves a class below n empty
+        present = np.bincount(np.minimum(self.labels, n))
+        missing = np.flatnonzero(present[: self.n_classes] == 0)
         if missing.size:
             raise DataError(f"dataset {self.name!r}: class {missing[0]} has no samples")
         if self.n_classes < 2:
             raise DataError(f"dataset {self.name!r}: need at least 2 classes, "
                             f"got {self.n_classes}")
-        check_finite(self.features, f"dataset {self.name!r} features")
+        if not np.isfinite(self.features).all():
+            bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))[0]
+            raise DataError(f"dataset {self.name!r}: sample {bad} has a non-finite feature")
 
     @property
     def n(self):
@@ -150,10 +154,14 @@ def load_csv(path):
         features.append(row)
     if not labels:
         raise DataError(f"{path}: no samples")
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: label {max(labels)} is out of range") from None
     return Dataset(
         name=header["name"],
         features=np.array(features, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
+        labels=labels,
     )
 
 

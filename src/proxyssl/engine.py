@@ -7,7 +7,8 @@ Abbreviations used throughout: TBST (threshold-based self-training), CBST
 All five are one loop, ``run_algorithm``: fit K models, predict the
 unlabeled pool U, give each model a pseudo-label batch, retrain each on the
 labeled pool D plus its batch, repeat until a stop rule fires or
-``max_iterations`` is reached. Only these differ per algorithm:
+``max_iterations`` is reached; at 0 a run scores its initial fit alone
+(``SUPERVISED`` is TBST at 0). Only these differ per algorithm:
 
 - views: one full-width model (TBST/CBST), two models on the two feature
   halves (CT), three full-width models (TT/TTWD);
@@ -47,7 +48,7 @@ TRI_TRAINING = ("TT", "TTWD")  # the algorithms whose models start from bootstra
 _STREAM_BOOTSTRAP = 90
 
 
-@dataclass
+@dataclass(frozen=True)
 class SslConfig:
     algorithm: str
     tau1: float = 0.9
@@ -66,13 +67,17 @@ class SslConfig:
             raise ConfigError(f"need 0 <= tau1 < tau2 <= 1, got tau1={self.tau1} tau2={self.tau2}")
         if not (0 <= self.count_lo < self.count_hi):
             raise ConfigError(f"need 0 <= count_lo < count_hi, got {self.count_lo}, {self.count_hi}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.max_iterations < 0:
+            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.eval_mode not in EVAL_MODES:
             raise ConfigError(f"unknown eval_mode {self.eval_mode!r}, expected one of {EVAL_MODES}")
         if self.sampling not in SAMPLING_MODES:
             raise ConfigError(f"unknown sampling mode {self.sampling!r}, "
                               f"expected one of {', '.join(SAMPLING_MODES)}")
+
+
+# the labeled-only baseline: self-training stopped before its first pseudo-label iteration
+SUPERVISED = SslConfig("TBST", max_iterations=0)
 
 
 @dataclass
@@ -184,21 +189,11 @@ def majority_vote(preds, probs):
 
 
 def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
-    """Labeled-only baseline: one model, one fit, U ignored.
+    """Labeled-only baseline: ``SUPERVISED``, one model fit on D, U ignored.
 
     Rate-0 splits make this the fully-labeled upper-bound condition.
     """
-    model = init_model(ds.d, ds.n_classes, rng.child(0).child(0).child(0))
-    acc = fit(
-        model,
-        ds.features[split.labeled_idx],
-        ds.labels[split.labeled_idx],
-        ds.features[split.test_idx],
-        ds.labels[split.test_idx],
-        train_cfg,
-        rng.child(0).child(0).child(1),
-    )
-    return SslOutcome([acc], [])
+    return run_algorithm(ds, split, SUPERVISED, train_cfg, rng)
 
 
 def _views(ds: Dataset, cfg: SslConfig):
@@ -244,10 +239,10 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
 
     Model ``s`` of iteration ``it`` draws its initialization from
     ``rng.child(it).child(s).child(0)`` and its training order from
-    ``.child(1)``. An empty U degenerates to the supervised fit.
+    ``.child(1)``. An empty U runs ``SUPERVISED`` in place of ``cfg``.
     """
     if len(split.unlabeled_idx) == 0:
-        return run_supervised(ds, split, train_cfg, rng)
+        cfg = SUPERVISED
 
     views = _views(ds, cfg)
     d_x, d_y = ds.features[split.labeled_idx], ds.labels[split.labeled_idx]

@@ -48,12 +48,10 @@ class Rng:
     def child(self, stream_id):
         return Rng(self.seed, self.path + (int(stream_id),))
 
-    def uniform(self, lo, hi, n=None):
-        """n draws (scalar count or shape tuple) in [lo, hi); requires lo < hi."""
+    def uniform(self, lo, hi, n):
+        """n draws (a count or shape tuple) in [lo, hi); requires lo < hi."""
         if not lo < hi:
             raise ValueError(f"uniform needs lo < hi, got lo={lo} hi={hi}")
-        if n is None:
-            return float(self._gen.uniform(lo, hi))
         return self._gen.uniform(lo, hi, n)
 
     def normal(self, mu, sigma, n=None):

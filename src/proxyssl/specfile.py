@@ -15,6 +15,7 @@ significance can be marked.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -233,6 +234,8 @@ def parse_spec(path):
             try:
                 reference[cell] = float(raw)
             except ValueError:
+                reference[cell] = math.nan
+            if not math.isfinite(reference[cell]):
                 raise ConfigError(f"{path}: [reference] {key}: expected a number, got {raw!r}")
 
     return ExperimentSpec(grids=grids, reference=reference, **g["spec"])

@@ -51,8 +51,8 @@ class TTestResult:
     degenerate: bool = False
 
 
-def paired_t_test(a, b, alpha=ALPHA):
-    """Two-tailed paired t-test on matched result vectors.
+def paired_t_test(a, b):
+    """Two-tailed paired t-test on matched result vectors, at level ``ALPHA``.
 
     Entries must be ordered identically in both vectors (same fold/trial per
     position). Zero-variance differences with nonzero mean are significant
@@ -73,7 +73,7 @@ def paired_t_test(a, b, alpha=ALPHA):
         return TTestResult(math.copysign(math.inf, mean), 0.0, True, _sign(mean), degenerate=True)
     t = mean / math.sqrt(var / n)
     p = t_two_tailed_p(t, n - 1)
-    return TTestResult(t, p, p < alpha, _sign(mean))
+    return TTestResult(t, p, p < ALPHA, _sign(mean))
 
 
 def _sign(v):

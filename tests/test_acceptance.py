@@ -226,7 +226,7 @@ def test_paired_t_test_reference_and_null():
     for _ in range(trials):
         a = list(rng.normal(0.0, 1.0, 15))
         b = list(rng.normal(0.0, 1.0, 15))
-        if paired_t_test(a, b, alpha=0.10).significant:
+        if paired_t_test(a, b).significant:
             hits += 1
     rate = hits / trials
     elapsed = time.monotonic() - t0
@@ -276,7 +276,7 @@ def test_ssl_no_catastrophe_and_benefit(trend_results, bench_results):
         assert len(accs) == 15
         means[alg] = float(np.mean(accs))
         assert means[alg] >= sup_mean - 2.0, (alg, means[alg], sup_mean)
-        res = paired_t_test(accs, sup, alpha=0.10)
+        res = paired_t_test(accs, sup)
         marks[alg] = res.significant and res.direction > 0
 
     # the table pipeline must agree with the direct paired test

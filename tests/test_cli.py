@@ -81,6 +81,17 @@ class TestValidate:
         assert main(["validate", str(p)]) == 1
         assert "dataset 'one': need at least 2 classes, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,1,nan,1.0", "dataset 'x': sample 1 has a non-finite feature"),
+        ("1,1,1e999,1.0", "dataset 'x': sample 1 has a non-finite feature"),
+        ("1,1000000000000,1.0,1.0", "dataset 'x': class 1 has no samples"),
+    ])
+    def test_bad_sample_exit_1(self, tmp_path, capsys, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# name=x d=2\n0,0,1.0,1.0\n{row}\n", encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", ["{bad", "[1,2]"])
     def test_malformed_manifest_exit_1(self, data_file, capsys, payload):
         manifest = data_file.parent / "mini.csv.manifest.json"
@@ -215,6 +226,16 @@ class TestRunAndReport:
         for name in ("table_base_rate0.9.txt", "table_base_rate0.8.txt",
                      "table_base_rate0.9.csv", "series_base_mini.txt"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
+
+    def test_zero_iterations_log_the_initial_fit(self, tmp_path, data_file):
+        spec = write_spec(tmp_path, data_file, "[study z]\nrates = 0.9\nmax_iterations = 0\n"
+                          "algorithms = TBST, CBST, CT, TT, TTWD\ninclude_oracle = false\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "run_log.csv").read_text().splitlines()]
+        assert len(rows) == 6 * 3
+        assert {r[2] for r in rows} == {"supervised", "TBST", "CBST", "CT", "TT", "TTWD"}
+        assert {r[7] for r in rows} == {"0"}
 
     def test_report_union_of_concatenated_logs(self, tmp_path, data_file):
         spec_a = write_spec(tmp_path, data_file,
@@ -611,10 +632,17 @@ class TestRunAndReport:
          "learning_rate"),
         ("", "[study s]\nalgorithms = supervised\n[reference]\nmini@0.9/Supervised = abc\n",
          "[reference]", "expected a number"),
+        ("", "[study s]\nalgorithms = supervised\n[reference]\nmini@0.9/Supervised = nan\n",
+         "[reference]", "expected a number, got 'nan'"),
+        ("", "[study s]\nalgorithms = supervised\n[reference]\nmini@0.9/Supervised = inf\n",
+         "[reference]", "expected a number, got 'inf'"),
+        ("", "[study s]\nalgorithms = supervised, TBST\nmax_iterations = -1\n", "[study s]",
+         "max_iterations must be >= 0"),
     ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
             "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
             "bad-boolean", "repeated-algorithm", "repeated-rate", "unused-mode", "unused-tau1",
-            "learning_rate-nan", "learning_rate-inf", "reference-value"])
+            "learning_rate-nan", "learning_rate-inf", "reference-value", "reference-nan",
+            "reference-inf", "max_iterations-negative"])
     def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                        monkeypatch, global_extra, body,
                                                        section, key):
@@ -649,7 +677,7 @@ class TestRunAndReport:
         assert "unique" in capsys.readouterr().err
 
     def test_one_significance_level(self, capsys):
-        assert inspect.signature(stats.paired_t_test).parameters["alpha"].default == stats.ALPHA
+        assert "alpha" not in inspect.signature(stats.paired_t_test).parameters
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "log.csv", "--alpha", "0.05"])
         assert "--alpha" in capsys.readouterr().err

@@ -97,6 +97,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="must not contain"):
             load_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        p = tmp_path / "nf.csv"
+        write_lines(p, ["# name=nf d=1", f"0,0,{value}", "1,1,2.0"])
+        with pytest.raises(DataError, match="sample 0 has a non-finite feature"):
+            load_csv(p)
+
+    def test_label_past_int64_rejected(self, tmp_path):
+        p = tmp_path / "big.csv"
+        write_lines(p, ["# name=big d=1", "0,0,1.0", f"1,{2**64},2.0"])
+        with pytest.raises(DataError, match=f"big.csv: label {2**64} is out of range"):
+            load_csv(p)
+
     def test_name_with_newline_rejected(self):
         with pytest.raises(DataError, match="must not contain"):
             Dataset("a\nb", np.ones((2, 1)), np.array([0, 1]))
@@ -130,6 +143,19 @@ class TestDataset:
     def test_negative_label_rejected(self):
         with pytest.raises(DataError, match="negative label -1"):
             Dataset("k", np.ones((3, 1)), np.array([0, -1, 1]))
+
+    @pytest.mark.parametrize("label", [2, 10**12, 2**63 - 1])
+    def test_label_past_sample_count_names_missing_class(self, label):
+        # two rows cannot cover label + 1 classes; nothing of that size is allocated
+        with pytest.raises(DataError, match="dataset 'k': class 1 has no samples"):
+            Dataset("k", np.ones((2, 1)), np.array([0, label]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_first_sample(self, value):
+        feats = np.ones((4, 3))
+        feats[2, 1] = feats[3, 0] = value
+        with pytest.raises(DataError, match="dataset 'k': sample 2 has a non-finite feature"):
+            Dataset("k", feats, np.array([0, 1, 0, 1]))
 
 
 def balanced_dataset(n, n_classes=2, d=4, seed=17):

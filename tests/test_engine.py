@@ -1,12 +1,15 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from proxyssl import classifier, engine
-from proxyssl.classifier import TrainConfig, fit
+from proxyssl.classifier import TrainConfig, fit, init_model
 from proxyssl.dataset import make_semi_split
 from proxyssl.engine import (
+    ALGORITHMS,
+    SUPERVISED,
     SslConfig,
     majority_vote,
     run_algorithm,
@@ -350,6 +353,62 @@ class TestTriTraining:
         out = run_algorithm(ds, split, SslConfig("TTWD"), FAST, Rng(34))
         sup = run_supervised(ds, split, FAST, Rng(34))
         assert out.iteration_accuracy == sup.iteration_accuracy
+
+
+def hand_written_supervised(ds, split, train_cfg, rng):
+    """The Supervised row's one model and score, built by hand as before it ran through
+    ``run_algorithm``: the reference that run_supervised must match bit for bit."""
+    model = init_model(ds.d, ds.n_classes, rng.child(0).child(0).child(0))
+    acc = fit(model, ds.features[split.labeled_idx], ds.labels[split.labeled_idx],
+              ds.features[split.test_idx], ds.labels[split.test_idx], train_cfg,
+              rng.child(0).child(0).child(1))
+    return model, acc
+
+
+class TestSupervised:
+    @pytest.mark.parametrize("rate", [0.0, 0.9])
+    def test_matches_hand_written_fit(self, monkeypatch, rate):
+        ds, _ = blob_split()
+        split = make_semi_split(ds, rate, 0, 3, Rng(3))
+        assert (len(split.unlabeled_idx) > 0) == (rate > 0)
+        fitted = []
+        monkeypatch.setattr(engine, "fit", lambda model, *a: fitted.append(model) or fit(model, *a))
+        for seed in (9, 10):
+            fitted.clear()
+            out = run_supervised(ds, split, FAST, Rng(seed))
+            model, acc = hand_written_supervised(ds, split, FAST, Rng(seed))
+            assert out.iteration_accuracy == [acc] and out.pseudo_label_counts == []
+            assert len(fitted) == 1 and np.array_equal(fitted[0].params, model.params)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            SUPERVISED.max_iterations = 1
+        with pytest.raises(FrozenInstanceError):
+            SslConfig("TT").sampling = "x:repl"
+        assert SUPERVISED == SslConfig("TBST", max_iterations=0)
+
+
+class TestZeroIterations:
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_scores_the_initial_fit(self, alg):
+        ds, split = blob_split()
+        out = run_algorithm(ds, split, SslConfig(alg, tau1=0.5, max_iterations=0), FAST, Rng(41))
+        assert len(out.iteration_accuracy) == 1
+        assert out.iterations_run == 0 and out.pseudo_label_counts == []
+        # the same score as the first entry of a run that goes on to pseudo-label
+        one = run_algorithm(ds, split, SslConfig(alg, tau1=0.5, max_iterations=1), FAST, Rng(41))
+        assert one.iterations_run == 1
+        assert out.iteration_accuracy[0] == one.iteration_accuracy[0]
+
+    @pytest.mark.parametrize("alg", ["TBST", "CBST"])
+    def test_self_training_is_supervised(self, alg):
+        ds, split = blob_split()
+        out = run_algorithm(ds, split, SslConfig(alg, max_iterations=0), FAST, Rng(42))
+        assert out.iteration_accuracy == run_supervised(ds, split, FAST, Rng(42)).iteration_accuracy
+
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigError, match="max_iterations must be >= 0, got -1"):
+            SslConfig("TBST", max_iterations=-1)
 
 
 class TestDispatch:

@@ -18,6 +18,10 @@ class TestRng:
     def test_uniform_empty(self):
         assert len(Rng(1).uniform(0, 1, 0)) == 0
 
+    def test_uniform_needs_a_count(self):
+        with pytest.raises(TypeError):
+            Rng(1).uniform(0, 1)
+
     def test_uniform_bad_bounds(self):
         with pytest.raises(ValueError):
             Rng(1).uniform(1.0, 1.0, 5)

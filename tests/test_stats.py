@@ -133,6 +133,6 @@ class TestPairedTTest:
         for _ in range(trials):
             a = rng.normal(0.0, 1.0, 15)
             b = rng.normal(0.0, 1.0, 15)
-            if paired_t_test(list(a), list(b), alpha=0.10).significant:
+            if paired_t_test(list(a), list(b)).significant:
                 hits += 1
         assert 0.04 < hits / trials < 0.16
