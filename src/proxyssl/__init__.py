@@ -29,16 +29,8 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtocolError, ProxySslError, ShapeError
 from .numerics import Rng
-from .protocol import (
-    AlgorithmEntry,
-    CellResult,
-    ComparisonTable,
-    ExperimentGrid,
-    RunResult,
-    check_plan,
-    run_grid,
-    tables_from_results,
-)
+from .protocol import AlgorithmEntry, ExperimentGrid, check_plan, run_grid
+from .report import CellResult, ComparisonTable, RunResult, tables_from_results
 from .stats import paired_t_test, t_two_tailed_p
 from .synthetic import make_blobs
 

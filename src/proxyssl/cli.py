@@ -15,24 +15,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .dataset import load_csv, read_manifest, read_text
 from .errors import ConfigError, DataError, ProxySslError
-from .protocol import (
-    check_plan,
-    format_log,
-    parse_log,
-    planned_results,
-    render_table_delimited,
-    render_table_text,
-    run_grid,
-    tables_from_results,
-)
+from .protocol import check_plan, planned_results, run_grid
+from .report import LOG_NAME, format_log, parse_log, report_files, write_tables
 from .specfile import parse_spec
 
 ENV_OUT = "PROXYSSL_OUT"
-LOG_NAME = "run_log.csv"
 
 
 def cmd_validate(args):
@@ -56,77 +48,8 @@ def _resolve_out(cli_out, spec_out=None):
     return out
 
 
-def series_points(tables):
-    """Supervised accuracy vs labeled fraction, {(study, dataset): sorted points}.
-
-    Emitted for each pair with Supervised cells at two or more rates;
-    fraction = 1 - unlabeled rate.
-    """
-    points = {}
-    for t in tables:
-        for ds in t.dataset_names:
-            cell = t.cells.get(("Supervised", ds))
-            if cell is not None:
-                points.setdefault((t.study, ds), []).append((round(1.0 - t.rate, 9), cell.mean))
-    return {key: sorted(pts) for key, pts in points.items() if len(pts) >= 2}
-
-
-def report_files(results, reference=None):
-    """Every report file of ``results`` as {file name: text}, built before any is written.
-
-    Two text forms of each (study, rate) table, then a series per (study,
-    dataset) from ``series_points``, then, given ``reference`` (dataset,
-    rate, row) -> expected mean, ``reference_delta.csv`` with a line per
-    (study, cell) that a key names (not gated). Raises ``DataError`` for
-    runs the tables reject, two outputs with one name, or a reference key
-    that names no cell.
-    """
-    tables = tables_from_results(results)
-    files, owners = {}, {}
-
-    def add(name, owner, text):
-        if "/" in name or "\0" in name:
-            raise DataError(f"{owner} would write {name!r}, which is no file name")
-        if name in owners:
-            raise DataError(f"{owners[name]} and {owner} would both write {name}")
-        owners[name], files[name] = owner, text
-
-    for t in tables:
-        stem, owner = f"table_{t.study}_rate{t.rate!r}", f"study {t.study!r} rate {t.rate!r}"
-        add(stem + ".txt", owner, render_table_text(t))
-        add(stem + ".csv", owner, render_table_delimited(t))
-    for (study, ds), pts in series_points(tables).items():
-        add(f"series_{study}_{ds}.txt", f"study {study!r} dataset {ds!r}",
-            "".join(f"{frac:g} {mean:.4f}\n" for frac, mean in pts))
-    if reference:
-        lines, named = ["study,dataset,rate,row,mean,reference,delta"], set()
-        for t in tables:
-            for label in t.row_labels:
-                for ds in t.dataset_names:
-                    cell, key = t.cells.get((label, ds)), (ds, t.rate, label)
-                    if key in reference and cell is not None:
-                        named.add(key)
-                        ref = reference[key]
-                        lines.append(f"{t.study},{ds},{t.rate!r},{label},{cell.mean:.2f},"
-                                     f"{ref:.2f},{cell.mean - ref:+.2f}")
-        for ds, rate, row in reference:
-            if (ds, rate, row) not in named:
-                key = f"{ds}@{rate!r}/{row}"
-                raise DataError(f"[reference] key {key!r} names no table cell; "
-                                f"each key names a dataset, a rate and a row of some study")
-        add("reference_delta.csv", "[reference]", "\n".join(lines) + "\n")
-    return files
-
-
-def write_tables(files, out_dir):
-    """Write every file of ``report_files`` into ``out_dir``; returns their paths."""
-    written = []
-    for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        written.append(path)
-    return written
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def cmd_run(args):
@@ -139,7 +62,12 @@ def cmd_run(args):
     except DataError as exc:
         raise ConfigError(f"{args.spec}: {exc}") from None
     out_dir = _resolve_out(args.out, spec.out_dir)
-    results = run_grid(plan, jobs=args.jobs)
+    # SIGTERM unwinds as SystemExit, so that a worker pool shuts down before the process ends
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        results = run_grid(plan, jobs=args.jobs)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .numerics import Rng
+from .report import check_log_field
 
 # bootstrap sampling mode -> (sample size as a multiple of the labeled count x or,
 # for three disjoint thirds of the labeled set, None; replace; fewest labeled samples)
@@ -34,16 +35,6 @@ SAMPLING_MODES = {
 # fixed child-stream ids inside make_semi_split
 _STREAM_FOLDS = 0
 _STREAM_MASK = 1
-
-# what no dataset, study or row-detail name may hold: the run log's separators (',' between
-# fields, '/' between study and row detail, a line break between records) and NUL, since
-# these names become parts of the report's file names
-UNSAFE_NAME_CHARS = ",/\n\r\0"
-
-
-def check_log_field(what, value, error):
-    if any(ch in value for ch in UNSAFE_NAME_CHARS):
-        raise error(f"{what} {value!r} must not contain ',', '/', a line break or a NUL")
 
 
 @dataclass

@@ -4,34 +4,30 @@ Every cell of a comparison table is n_folds x n_seeds runs. Seeds derive
 deterministically from (base_seed, dataset, rate, algorithm, fold, trial);
 the data split additionally excludes algorithm and trial from its seed so
 that all algorithms and trials of a (dataset, rate, fold) cell train on the
-identical split and results pair up for the t-test.
-
-Results persist as a flat run-log, one line per run:
-
-    dataset,rate,algorithm,variant,fold,trial,max_test_acc,iterations,wall_ms
-
-Accuracies are percentages at full precision. Tables are recomputed from the
-log alone, so reports never require retraining. The wall_ms field is the one
-intentionally non-deterministic column.
+identical split and results pair up for the t-test. ``report`` owns the run
+log that the results are written to.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .classifier import TrainConfig
-from .dataset import SAMPLING_MODES, Dataset, check_log_field, make_semi_split
+from .dataset import SAMPLING_MODES, Dataset, make_semi_split
 from .engine import TRI_TRAINING, SslConfig, run_algorithm, run_supervised
-from .errors import ConfigError, DataError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .numerics import Rng
-from .stats import paired_t_test
+from .report import RunResult, check_log_field, format_row_label
+# not used here: perfbench/child.py times these layers under their protocol names
+from .report import format_log, parse_log, tables_from_results  # noqa: F401
 
 BASELINE_ALGORITHMS = ("oracle", "supervised")
 
@@ -60,12 +56,6 @@ class AlgorithmEntry:
 
     def row_label(self):
         return format_row_label(self.algorithm, self.detail)
-
-
-def format_row_label(algorithm, detail):
-    """Table row label: display name, then the variant detail unless it is "std"."""
-    name = {"oracle": "Oracle", "supervised": "Supervised"}.get(algorithm, algorithm)
-    return name if detail == "std" else f"{name} {detail}"
 
 
 @dataclass
@@ -108,42 +98,23 @@ class ExperimentGrid:
         check_log_field("study name", self.study, ConfigError)
 
 
-@dataclass
-class RunResult:
-    dataset: str
-    rate: float
-    algorithm: str
-    study: str
-    detail: str  # row qualifier within the study
-    fold: int
-    trial: int
-    max_test_acc: float  # percentage
-    iterations: int
-    wall_ms: float
-
-
 def _execute_run(grid, ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, split):
+    """One run's (max_test_acc in percent, iterations, wall_ms).
+
+    Float arithmetic that overflows or turns invalid raises, here and in a pool
+    worker alike, rather than training on inf or nan.
+    """
     rate_key = int(round(rate * 10**6))
     train_rng = Rng(derive_seed(grid.base_seed, "train", ds.name, rate_key,
                                 entry.algorithm, fold, trial))
     t0 = time.perf_counter()
-    if entry.ssl is None:
-        outcome = run_supervised(ds, split, grid.train, train_rng)
-    else:
-        outcome = run_algorithm(ds, split, entry.ssl, grid.train, train_rng)
+    with np.errstate(over="raise", invalid="raise"):
+        if entry.ssl is None:
+            outcome = run_supervised(ds, split, grid.train, train_rng)
+        else:
+            outcome = run_algorithm(ds, split, entry.ssl, grid.train, train_rng)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    return RunResult(
-        dataset=ds.name,
-        rate=rate,
-        algorithm=entry.algorithm,
-        study=grid.study,
-        detail=entry.detail,
-        fold=fold,
-        trial=trial,
-        max_test_acc=100.0 * outcome.max_test_accuracy,
-        iterations=outcome.iterations_run,
-        wall_ms=wall_ms,
-    )
+    return 100.0 * outcome.max_test_accuracy, outcome.iterations_run, wall_ms
 
 
 def enumerate_runs(grid: ExperimentGrid):
@@ -320,21 +291,22 @@ def run_grid(plan, jobs=1, progress=None):
     """Execute the runs of a ``Plan`` from ``check_plan``; results come back per
     requested row, in canonical order.
 
-    Each distinct run executes once and is re-labeled ``<study>/<detail>`` for
-    every row that requests it. With ``jobs > 1`` the runs execute in up to
-    ``jobs`` worker processes, which train on the plan's splits; ``progress``
-    is called here, once per executed run, in the plan's order. Any run
-    failure aborts with a diagnostic naming the cell.
+    Each distinct run executes once and is logged under ``<study>/<detail>``
+    for every row that requests it. With ``jobs > 1`` the runs execute in up
+    to ``jobs`` worker processes, which train on the plan's splits;
+    ``progress`` is called here with each executed run's (max_test_acc,
+    iterations, wall_ms), in the plan's order. Any run failure aborts with a
+    diagnostic naming the cell.
     """
     _check_not_bootstrapping()
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    executed = []
+    outcomes = []
 
-    def done(res):
+    def done(outcome):
         if progress:
-            progress(res)
-        executed.append(res)
+            progress(outcome)
+        outcomes.append(outcome)
 
     workers = min(jobs, len(plan.runs))
     if workers == 1:
@@ -342,177 +314,18 @@ def run_grid(plan, jobs=1, progress=None):
             done(_run_descriptor(desc))
     else:
         _map_in_pool(plan.runs, workers, done)
-    return [replace(executed[i], study=study, detail=detail) for i, study, detail in plan.rows]
+    return _results(plan, outcomes)
 
 
 def planned_results(plan):
     """The rows ``run_grid`` would return for ``plan``, with zero scores: what a
     report of the plan holds, before any training."""
-    return [RunResult(ds.name, rate, entry.algorithm, study, detail, fold, trial, 0.0, 0, 0.0)
+    return _results(plan, [(0.0, 0, 0.0)] * len(plan.runs))
+
+
+def _results(plan, outcomes):
+    """A ``RunResult`` per requested row of ``plan``, from ``outcomes[i]``, the
+    (max_test_acc, iterations, wall_ms) of ``plan.runs[i]``."""
+    return [RunResult(ds.name, rate, entry.algorithm, study, detail, fold, trial, *outcomes[i])
             for i, study, detail in plan.rows
             for _, ds, rate, entry, fold, trial, _ in [plan.runs[i]]]
-
-
-def format_log(results):
-    lines = []
-    for r in results:
-        lines.append(
-            f"{r.dataset},{r.rate!r},{r.algorithm},{r.study}/{r.detail},{r.fold},{r.trial},"
-            f"{r.max_test_acc!r},{r.iterations},{r.wall_ms:.3f}"
-        )
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def parse_log(text, source="run log"):
-    results = []
-    # records end in "\n" only; str.splitlines also breaks at U+2028, "\x1e", ...
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise DataError(f"{source}:{lineno}: expected 9 fields, got {len(parts)}")
-        study, slash, detail = parts[3].partition("/")
-        if not slash:
-            raise DataError(f"{source}:{lineno}: variant {parts[3]!r} lacks a study prefix")
-        try:
-            rate, acc, wall_ms = float(parts[1]), float(parts[6]), float(parts[8])
-            results.append(RunResult(
-                dataset=parts[0], rate=rate, algorithm=parts[2], study=study, detail=detail,
-                fold=int(parts[4]), trial=int(parts[5]), max_test_acc=acc,
-                iterations=int(parts[7]), wall_ms=wall_ms,
-            ))
-        except ValueError as exc:
-            raise DataError(f"{source}:{lineno}: {exc}")
-        if not (0.0 <= rate < 1.0 and math.isfinite(acc) and math.isfinite(wall_ms)):
-            raise DataError(f"{source}:{lineno}: need a rate in [0, 1) and finite max_test_acc "
-                            f"and wall_ms, got {parts[1]}, {parts[6]} and {parts[8]}")
-    return results
-
-
-@dataclass
-class CellResult:
-    """All runs of one (row, dataset) cell, ordered by (fold, trial)."""
-
-    runs: list[tuple[int, int, float]]  # (fold, trial, accuracy-percent)
-    significance: str = ""  # "", "none", "better", "worse"
-
-    @property
-    def accuracies(self):
-        return [r[2] for r in self.runs]
-
-    @property
-    def mean(self):
-        return sum(r[2] for r in self.runs) / len(self.runs)
-
-    def pairs(self):
-        return [(f, t) for f, t, _ in self.runs]
-
-
-@dataclass
-class ComparisonTable:
-    study: str
-    rate: float
-    dataset_names: list[str]
-    row_labels: list[str]
-    cells: dict  # (row_label, dataset) -> CellResult
-
-
-def tables_from_results(results):
-    """Group run results into one ComparisonTable per (study, rate block).
-
-    Oracle runs (rate 0) attach as the leading row of every rate block of
-    their study. Ordering follows first appearance, so identical logs render
-    identical tables. Each cell is checked once: its (fold, trial) pairs are
-    distinct, and an SSL cell beside a Supervised cell holds the same two or
-    more pairs, which the paired t-test at ``stats.ALPHA`` then marks; anything
-    else is a DataError.
-    """
-    by_study = {}
-    for r in results:
-        by_study.setdefault(r.study, []).append(r)
-
-    tables = []
-    for study, runs in by_study.items():
-        oracle = [r for r in runs if r.algorithm == "oracle"]
-        block_runs = [r for r in runs if r.algorithm != "oracle"]
-        rates, datasets = [], []
-        for r in block_runs or oracle:
-            if r.rate not in rates:
-                rates.append(r.rate)
-            if r.dataset not in datasets:
-                datasets.append(r.dataset)
-        for r in oracle:
-            if r.dataset not in datasets:
-                datasets.append(r.dataset)
-        for rate in rates:
-            rows, cells = [], {}
-            chosen = oracle + [r for r in block_runs if r.rate == rate]
-            for r in chosen:
-                label = format_row_label(r.algorithm, r.detail)
-                if label not in rows:
-                    rows.append(label)
-                cells.setdefault((label, r.dataset), CellResult(runs=[])).runs.append(
-                    (r.fold, r.trial, r.max_test_acc)
-                )
-            for cell in cells.values():
-                cell.runs.sort(key=lambda e: (e[0], e[1]))
-            for (label, ds), cell in cells.items():
-                where = f"study {study!r} at rate {rate!r}: cell {label!r} on {ds!r}"
-                pairs = cell.pairs()
-                if len(set(pairs)) < len(pairs):
-                    raise DataError(f"{where} holds a (fold, trial) more than once")
-                sup = cells.get(("Supervised", ds))
-                if label in ("Supervised", "Oracle") or sup is None:
-                    continue
-                if pairs != sup.pairs() or len(pairs) < 2:
-                    raise DataError(f"{where} must hold the same two or more (fold, trial) "
-                                    f"pairs as Supervised for the paired t-test, got "
-                                    f"{len(pairs)} against {len(sup.runs)}")
-                res = paired_t_test(cell.accuracies, sup.accuracies)
-                if not res.significant:
-                    cell.significance = "none"
-                else:
-                    cell.significance = "better" if res.direction > 0 else "worse"
-            tables.append(ComparisonTable(study, rate, datasets, rows, cells))
-    return tables
-
-
-_MARKS = {"": "", "none": "", "better": "+", "worse": "-"}
-
-
-def render_table_text(table: ComparisonTable):
-    """Aligned text table; +/- suffixes mark significance vs Supervised."""
-    header = [f"study {table.study}, unlabeled rate {table.rate!r}"]
-    width = max([len("algorithm")] + [len(l) for l in table.row_labels]) + 2
-    # each dataset column is as wide as its header, with at least one space before the name
-    columns = [(ds, max(10, len(ds) + 1)) for ds in table.dataset_names]
-    cols = [f"{'algorithm':<{width}}"]
-    for ds, w in columns:
-        cols.append(f"{ds:>{w}}")
-    header.append("".join(cols))
-    lines = header
-    for label in table.row_labels:
-        parts = [f"{label:<{width}}"]
-        for ds, w in columns:
-            cell = table.cells.get((label, ds))
-            if cell is None:
-                parts.append(f"{'-':>{w}}")
-            else:
-                parts.append(f"{cell.mean:.2f}{_MARKS[cell.significance]:<1}".rjust(w))
-        lines.append("".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def render_table_delimited(table: ComparisonTable):
-    """Machine-readable variant: study,rate,row,dataset,mean,significance."""
-    lines = ["study,rate,row,dataset,mean,significance"]
-    for label in table.row_labels:
-        for ds in table.dataset_names:
-            cell = table.cells.get((label, ds))
-            if cell is None:
-                continue
-            lines.append(
-                f"{table.study},{table.rate!r},{label},{ds},{cell.mean:.2f},{cell.significance}"
-            )
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Experiment spec files: INI text with a ``[global]`` section, one
 ``[study <name>]`` section per table and an optional ``[reference]`` section
 of expected cell means (``<dataset>@<rate>/<row> = <value>``) that the run
-report compares against without gating anything (``cli.report_files``
+report compares against without gating anything (``report.report_files``
 rejects a key that names no cell). README.md shows an example.
 
 Every key a section takes is declared once, in ``GLOBAL_KEYS``,

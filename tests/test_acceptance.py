@@ -36,13 +36,8 @@ from proxyssl.engine import (
     tri_training_batches,
 )
 from proxyssl.numerics import Rng
-from proxyssl.protocol import (
-    AlgorithmEntry,
-    ExperimentGrid,
-    check_plan,
-    run_grid,
-    tables_from_results,
-)
+from proxyssl.protocol import AlgorithmEntry, ExperimentGrid, check_plan, run_grid
+from proxyssl.report import tables_from_results
 from proxyssl.stats import paired_t_test
 from proxyssl.synthetic import make_blobs
 

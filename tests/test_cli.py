@@ -1,14 +1,16 @@
 import inspect
 import json
 import random
+import signal
+import warnings
 
 import pytest
 
 from proxyssl import protocol, stats
-from proxyssl.cli import build_parser, main, report_files, series_points
+from proxyssl.cli import build_parser, main
 from proxyssl.dataset import SAMPLING_MODES, save_csv
 from proxyssl.errors import ConfigError
-from proxyssl.protocol import CellResult, ComparisonTable, RunResult
+from proxyssl.report import CellResult, ComparisonTable, RunResult, report_files, series_points
 from proxyssl.specfile import STUDY_KINDS, parse_spec
 from proxyssl.synthetic import make_blobs
 
@@ -218,6 +220,26 @@ class TestRunAndReport:
         assert (out / "series_base_mini.txt").exists()
         lines = (out / "series_base_mini.txt").read_text().splitlines()
         assert len(lines) == 2 and lines[0].startswith("0.1 ")
+
+    def test_run_restores_the_sigterm_handler(self, tmp_path, data_file):
+        before = signal.getsignal(signal.SIGTERM)
+        self.run_spec(tmp_path, data_file)
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.parametrize("big", [1e160, 1e308])
+    def test_overflowing_feature_exit_3(self, tmp_path, capsys, big):
+        # the file is valid, but training on it overflows; where overflow only warns, as it
+        # does by default, the run must still fail rather than report scores of inf arithmetic
+        ds = make_blobs("big", n=30, d=4, n_classes=2, separation=4.0, seed=1)
+        ds.features[3, 1] = big
+        data = tmp_path / "big.csv"
+        save_csv(ds, data)
+        spec = write_spec(tmp_path, data, "[study a]\nrates = 0.5\nalgorithms = supervised\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["validate", str(data)]) == 0
+            assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 3
+        assert "run failed for dataset=big" in capsys.readouterr().err
 
     def test_report_reproduces_tables_byte_identical(self, tmp_path, data_file):
         out = self.run_spec(tmp_path, data_file)

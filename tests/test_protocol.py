@@ -16,23 +16,19 @@ import pytest
 import proxyssl
 from proxyssl import protocol
 from proxyssl.classifier import TrainConfig
-from proxyssl.dataset import make_semi_split
+from proxyssl.dataset import make_semi_split, save_csv
 from proxyssl.engine import SslConfig, run_supervised
 from proxyssl.errors import ConfigError, DataError, ProtocolError
 from proxyssl.numerics import Rng
-from proxyssl.protocol import (
-    AlgorithmEntry,
+from proxyssl.protocol import AlgorithmEntry, ExperimentGrid, check_plan, derive_seed, run_grid
+from proxyssl.report import (
     CellResult,
     ComparisonTable,
-    ExperimentGrid,
     RunResult,
-    check_plan,
-    derive_seed,
     format_log,
     parse_log,
     render_table_delimited,
     render_table_text,
-    run_grid,
     tables_from_results,
 )
 from proxyssl.synthetic import make_blobs
@@ -68,7 +64,7 @@ class TestDeriveSeed:
 def failing_grid():
     """Three TT runs that each fail with a diagnostic naming their cell."""
     ds = make_blobs("tiny", n=9, d=4, n_classes=3, separation=3.0, seed=5)
-    # the plan passes check_plan, but a step size of 1e300 makes the weights non-finite
+    # the plan passes check_plan, but a step size of 1e300 overflows the training arithmetic
     return ExperimentGrid(
         datasets=[ds],
         algorithms=[AlgorithmEntry("TT", SslConfig("TT"))],
@@ -168,9 +164,9 @@ class TestRunGrid:
         assert one == two
 
     def test_failure_diagnostic_names_cell(self):
-        # the overflow is the point: adam_step's NumericError, not a RuntimeWarning, ends the run
+        # each run raises on overflow itself, so a caller that ignores overflow still gets it
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ProtocolError, match="dataset=tiny"):
+                pytest.raises(ProtocolError, match="dataset=tiny.*: overflow encountered"):
             run_grid(check_plan([failing_grid()]))
 
     def test_failure_in_worker_names_cell(self):
@@ -337,9 +333,8 @@ class TestSharedSplits:
         for *_, split in runs:
             for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
                 assert not idx.flags.writeable
-        assert ([replace(executed[i], study=study, detail=detail, wall_ms=0.0)
-                 for i, study, detail in plan.rows]
-                == [replace(r, wall_ms=0.0) for r in serial])
+        assert ([executed[i][:2] for i, _, _ in plan.rows]
+                == [(r.max_test_acc, r.iterations) for r in serial])
 
 
 UNGUARDED_SCRIPT = """
@@ -394,6 +389,52 @@ def test_script_without_main_guard_fails_fast(tmp_path):
     if left:
         os.killpg(proc.pid, signal.SIGKILL)
     assert left == []
+
+
+def spawned_workers(pgid):
+    """Pids of group ``pgid`` that run a multiprocessing spawn worker."""
+    workers = []
+    for pid in live_group_members(pgid):
+        try:
+            if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
+                workers.append(pid)
+        except OSError:  # the process ended while we looked
+            pass
+    return workers
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
+def test_sigterm_to_run_leaves_no_worker(tmp_path):
+    data = tmp_path / "blobs.csv"
+    save_csv(make_blobs("blobs", n=120, d=8, n_classes=2, separation=4.0, seed=1), data)
+    spec = tmp_path / "long.ini"
+    # hundreds of short runs: the grid outlasts the test, and each run ends soon after SIGTERM
+    spec.write_text(f"[global]\ndatasets = {data}\nn_seeds = 100\nepochs = 2\n"
+                    "[study a]\nrates = 0.9, 0.8\nmax_iterations = 1\n"
+                    "algorithms = supervised, TBST\n", encoding="utf-8")
+    src = str(Path(proxyssl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "proxyssl.cli", "run", str(spec), "--jobs", "2",
+                             "--out", str(tmp_path / "out")], env=env, cwd=tmp_path,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(spawned_workers(proc.pid)) < 2:
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "run --jobs 2 started no two workers"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert live_group_members(proc.pid) == []
+    finally:
+        if live_group_members(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()
 
 
 class TestLogRoundTrip:
