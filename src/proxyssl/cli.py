@@ -14,6 +14,7 @@ $PROXYSSL_OUT, then ./results. Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -43,9 +44,11 @@ def cmd_validate(args):
 
 
 def _resolve_out(cli_out, spec_out=None):
+    """The output directory, made if missing, and whether this call made it."""
     out = cli_out or spec_out or os.environ.get(ENV_OUT) or "results"
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    return out
+    return out, made
 
 
 def _exit_on_signal(signum, frame):
@@ -61,11 +64,16 @@ def cmd_run(args):
         report_files(planned_results(plan), spec.reference)
     except DataError as exc:
         raise ConfigError(f"{args.spec}: {exc}") from None
-    out_dir = _resolve_out(args.out, spec.out_dir)
+    out_dir, made = _resolve_out(args.out, spec.out_dir)
     # SIGTERM unwinds as SystemExit, so that a worker pool shuts down before the process ends
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         results = run_grid(plan, jobs=args.jobs)
+    except BaseException:
+        if made:  # a failed run leaves no directory behind that it made; rmdir keeps a full one
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     finally:
         signal.signal(signal.SIGTERM, previous)
     log_path = os.path.join(out_dir, LOG_NAME)
@@ -83,7 +91,7 @@ def cmd_report(args):
     if not results:
         raise DataError(f"{args.log}: no run lines")
     files = report_files(results)
-    for path in write_tables(files, _resolve_out(args.out)):
+    for path in write_tables(files, _resolve_out(args.out)[0]):
         print(f"wrote {path}")
     return 0
 

@@ -82,9 +82,9 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemiSplit:
-    """Disjoint labeled (D), unlabeled (U) and test index sets of one fold."""
+    """Disjoint, read-only labeled (D), unlabeled (U) and test index sets of one fold."""
 
     labeled_idx: np.ndarray
     unlabeled_idx: np.ndarray
@@ -95,6 +95,11 @@ class SemiSplit:
         total = len(self.labeled_idx) + len(self.unlabeled_idx) + len(self.test_idx)
         if len(sets[0] | sets[1] | sets[2]) != total:
             raise DataError("split index sets overlap")
+        for idx in (self.labeled_idx, self.unlabeled_idx, self.test_idx):
+            idx.flags.writeable = False
+
+    def __reduce__(self):  # unpickled arrays are writable; the constructor marks them again
+        return SemiSplit, (self.labeled_idx, self.unlabeled_idx, self.test_idx)
 
 
 def read_text(path):

@@ -42,7 +42,7 @@ from .errors import ConfigError
 ALGORITHMS = ("TBST", "CBST", "CT", "TT", "TTWD")
 EVAL_MODES = ("ensemble", "best_single")
 _SELF_TRAINING = ("TBST", "CBST")
-TRI_TRAINING = ("TT", "TTWD")  # the algorithms whose models start from bootstrap samples
+_TRI_TRAINING = ("TT", "TTWD")  # the algorithms whose models start from bootstrap samples
 
 # engine-internal child-stream ids
 _STREAM_BOOTSTRAP = 90
@@ -196,6 +196,18 @@ def run_supervised(ds: Dataset, split: SemiSplit, train_cfg: TrainConfig, rng):
     return run_algorithm(ds, split, SUPERVISED, train_cfg, rng)
 
 
+def check_run(ds: Dataset, split: SemiSplit, cfg: SslConfig):
+    """Raise ``ConfigError`` if ``run_algorithm`` cannot start ``cfg`` on ``split``."""
+    if len(split.unlabeled_idx) == 0:  # runs SUPERVISED
+        return
+    if cfg.algorithm == "CT" and ds.d < 2:
+        raise ConfigError(f"CT splits the features in two, but dataset {ds.name!r} has d={ds.d}")
+    need, x = SAMPLING_MODES[cfg.sampling][2], len(split.labeled_idx)
+    if cfg.algorithm in _TRI_TRAINING and x < need:
+        raise ConfigError(f"sampling {cfg.sampling} needs {need} labeled samples, but the "
+                          f"split of dataset {ds.name!r} has {x}")
+
+
 def _views(ds: Dataset, cfg: SslConfig):
     """Column range per model: one or three full-width models, or CT's halves."""
     if cfg.algorithm == "CT":
@@ -248,7 +260,7 @@ def run_algorithm(ds: Dataset, split: SemiSplit, cfg: SslConfig, train_cfg: Trai
     d_x, d_y = ds.features[split.labeled_idx], ds.labels[split.labeled_idx]
     u_x = ds.features[split.unlabeled_idx]
     test_x, test_y = ds.features[split.test_idx], ds.labels[split.test_idx]
-    if cfg.algorithm in TRI_TRAINING:
+    if cfg.algorithm in _TRI_TRAINING:
         boot_rng = rng.child(_STREAM_BOOTSTRAP)
         samples = (bootstrap_sample(split.labeled_idx, cfg.sampling, s, boot_rng) for s in range(3))
         initial = ((ds.features[i], ds.labels[i]) for i in samples)

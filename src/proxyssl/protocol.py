@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import TrainConfig
-from .dataset import SAMPLING_MODES, Dataset, make_semi_split
-from .engine import TRI_TRAINING, SslConfig, run_algorithm, run_supervised
+from .dataset import Dataset, make_semi_split
+from .engine import SUPERVISED, SslConfig, check_run, run_algorithm, run_supervised
 from .errors import ConfigError, ProtocolError
 from .numerics import Rng
 from .report import RunResult, check_log_field, format_row_label
@@ -144,12 +144,6 @@ class Plan(NamedTuple):
     rows: list
 
 
-def _read_only(split):
-    for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
-        idx.flags.writeable = False
-    return split
-
-
 def check_plan(grids, jobs=1):
     """The ``Plan`` of a spec's grids; raises ``ConfigError`` or ``DataError``
     for a plan that cannot run, before any training.
@@ -157,9 +151,8 @@ def check_plan(grids, jobs=1):
     Identical work requested twice, by one grid or by two (same dataset, rate,
     algorithm, config, fold, trial, training config, folds and base seed),
     becomes one run; its seeds never involve the study. The runs of one
-    (dataset, rate, fold) share its split, made here once with read-only
-    indices, where each tri-training row's sampling mode must find the labeled
-    samples it needs."""
+    (dataset, rate, fold) share its split, made here once, and
+    ``engine.check_run`` checks each run on it."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     named, studies = {}, set()
@@ -178,23 +171,16 @@ def check_plan(grids, jobs=1):
             key = (ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
                    repr(grid.train), grid.n_folds, grid.base_seed)
             if key not in index:
-                if entry.algorithm == "CT" and ds.d < 2:
-                    raise ConfigError(f"study {grid.study!r}: CT splits the features in "
-                                      f"two, but dataset {ds.name!r} has d={ds.d}")
                 split_key = (ds.name, grid.base_seed, rate, fold, grid.n_folds)
                 if split_key not in splits:
                     rng = Rng(derive_seed(grid.base_seed, "split", ds.name))
-                    splits[split_key] = _read_only(make_semi_split(ds, rate, fold,
-                                                                   grid.n_folds, rng))
+                    splits[split_key] = make_semi_split(ds, rate, fold, grid.n_folds, rng)
                 split = splits[split_key]
-                # an empty U runs supervised, with no bootstrap sample
-                if entry.algorithm in TRI_TRAINING and len(split.unlabeled_idx):
-                    x, need = len(split.labeled_idx), SAMPLING_MODES[entry.ssl.sampling][2]
-                    if x < need:
-                        raise ConfigError(f"study {grid.study!r}: row {entry.row_label()!r} "
-                                          f"samples {entry.ssl.sampling}, which needs {need} "
-                                          f"labeled samples, but dataset {ds.name!r} at rate "
-                                          f"{rate!r} fold {fold} has {x}")
+                try:
+                    check_run(ds, split, entry.ssl or SUPERVISED)
+                except ConfigError as exc:
+                    raise ConfigError(f"study {grid.study!r}, row {entry.row_label()!r}, rate "
+                                      f"{rate!r}, fold {fold}: {exc}") from None
                 index[key] = len(runs)
                 runs.append((grid, ds, rate, entry, fold, trial, split))
             rows.append((index[key], grid.study, entry.detail))
@@ -225,9 +211,6 @@ def _run_descriptor(desc):
 
 def _init_worker(runs):
     global _worker_runs
-    # the splits arrive unpickled, and unpickled arrays are writable
-    for *_, split in runs:
-        _read_only(split)
     _worker_runs = runs
 
 

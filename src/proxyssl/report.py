@@ -80,9 +80,10 @@ def parse_log(text, source="run log"):
             ))
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: {exc}")
-        if not (0.0 <= rate < 1.0 and math.isfinite(acc) and math.isfinite(wall_ms)):
-            raise DataError(f"{source}:{lineno}: need a rate in [0, 1) and finite max_test_acc "
-                            f"and wall_ms, got {parts[1]}, {parts[6]} and {parts[8]}")
+        if not (0.0 <= rate < 1.0 and 0.0 <= acc <= 100.0 and math.isfinite(wall_ms)):
+            raise DataError(f"{source}:{lineno}: need a rate in [0, 1), max_test_acc in "
+                            f"[0, 100] and a finite wall_ms, got {parts[1]}, {parts[6]} and "
+                            f"{parts[8]}")
     return results
 
 

@@ -226,20 +226,34 @@ class TestRunAndReport:
         self.run_spec(tmp_path, data_file)
         assert signal.getsignal(signal.SIGTERM) is before
 
-    @pytest.mark.parametrize("big", [1e160, 1e308])
-    def test_overflowing_feature_exit_3(self, tmp_path, capsys, big):
-        # the file is valid, but training on it overflows; where overflow only warns, as it
-        # does by default, the run must still fail rather than report scores of inf arithmetic
+    @staticmethod
+    def overflowing_spec(tmp_path, big):
+        """A spec on a valid 30x4 file with one feature of ``big``, and that file."""
         ds = make_blobs("big", n=30, d=4, n_classes=2, separation=4.0, seed=1)
         ds.features[3, 1] = big
         data = tmp_path / "big.csv"
         save_csv(ds, data)
-        spec = write_spec(tmp_path, data, "[study a]\nrates = 0.5\nalgorithms = supervised\n")
+        return write_spec(tmp_path, data, "[study a]\nrates = 0.5\nalgorithms = supervised\n"), data
+
+    @pytest.mark.parametrize("big", [1e160, 1e308])
+    def test_overflowing_feature_exit_3(self, tmp_path, capsys, big):
+        # the file is valid, but training on it overflows; where overflow only warns, as it
+        # does by default, the run must still fail rather than report scores of inf arithmetic
+        spec, data = self.overflowing_spec(tmp_path, big)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["validate", str(data)]) == 0
             assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 3
         assert "run failed for dataset=big" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_keeps_an_output_directory_it_did_not_make(self, tmp_path, capsys):
+        spec, _ = self.overflowing_spec(tmp_path, 1e160)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", str(spec), "--out", str(out)]) == 3
+        assert "overflow encountered" in capsys.readouterr().err
+        assert out.is_dir()
 
     def test_report_reproduces_tables_byte_identical(self, tmp_path, data_file):
         out = self.run_spec(tmp_path, data_file)
@@ -403,6 +417,16 @@ class TestRunAndReport:
         assert "d=1" in capsys.readouterr().err
         assert executed == []
         assert not (tmp_path / "out").exists()
+
+    def test_ct_on_one_column_dataset_runs_at_rate_0(self, tmp_path):
+        # an empty U runs supervised, so CT never halves the one column
+        data = tmp_path / "flat.csv"
+        save_csv(make_blobs("flat", n=60, d=1, n_classes=2, separation=4.0, seed=1), data)
+        spec = write_spec(tmp_path, data, "[study s]\nrates = 0\nalgorithms = CT\n")
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "run_log.csv").read_text().splitlines()]
+        assert [r[2] for r in rows].count("CT") == 3
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_before_training(self, tmp_path, data_file, capsys,
@@ -727,7 +751,8 @@ class TestRunAndReport:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("field, value", [(1, "nan"), (1, "inf"), (1, "1.0"), (1, "-0.5"),
-                                              (6, "nan"), (6, "-inf"), (8, "nan")])
+                                              (6, "nan"), (6, "-inf"), (8, "nan"),
+                                              (6, "1e200"), (6, "-0.5"), (6, "100.5")])
     def test_non_finite_log_value_exit_1(self, tmp_path, capsys, field, value):
         lines = [f"mini,0.9,{alg},s/std,0,{trial},{50.0 + trial},0,1.000"
                  for alg in ("supervised", "TBST") for trial in range(2)]

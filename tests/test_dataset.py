@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestMakeSemiSplit:
         assert abs(len(split.labeled_idx) - 67) <= 1
         frac = len(split.unlabeled_idx) / train
         assert abs(frac - 0.90) <= 1.0 / train + 1e-12
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_index_arrays_read_only_as_made_and_unpickled(self, rate):
+        split = make_semi_split(balanced_dataset(90), rate, fold=1, n_folds=3, rng=Rng(5))
+        back = pickle.loads(pickle.dumps(split))
+        for made, unpickled in zip(vars(split).values(), vars(back).values()):
+            assert np.array_equal(made, unpickled)
+            for idx in (made, unpickled):
+                assert not idx.flags.writeable
+                with pytest.raises(ValueError):
+                    idx[:1] = 0
 
     def test_rate_zero_is_fully_labeled(self):
         ds = balanced_dataset(90)

@@ -6,7 +6,7 @@ import pytest
 
 from proxyssl import classifier, engine
 from proxyssl.classifier import TrainConfig, fit, init_model
-from proxyssl.dataset import make_semi_split
+from proxyssl.dataset import SAMPLING_MODES, make_semi_split
 from proxyssl.engine import (
     ALGORITHMS,
     SUPERVISED,
@@ -353,6 +353,32 @@ class TestTriTraining:
         out = run_algorithm(ds, split, SslConfig("TTWD"), FAST, Rng(34))
         sup = run_supervised(ds, split, FAST, Rng(34))
         assert out.iteration_accuracy == sup.iteration_accuracy
+
+
+class TestCheckRun:
+    def test_rejects_exactly_the_runs_that_cannot_start(self):
+        # one column, and 4 labeled samples at rate 0.95: CT cannot halve the features, and
+        # the half-size and disjoint-thirds samplings need 6; an empty U runs supervised
+        ds = make_blobs("flat", n=60, d=1, n_classes=4, separation=4.0, seed=1)
+        cfgs = [SslConfig(alg, max_iterations=1) for alg in ALGORITHMS]
+        cfgs += [SslConfig(alg, sampling=mode, max_iterations=1)
+                 for alg in ("TT", "TTWD") for mode in SAMPLING_MODES]
+        rejected = []
+        for rate in (0.0, 0.95):
+            split = make_semi_split(ds, rate, fold=0, n_folds=3, rng=Rng(1))
+            assert len(split.labeled_idx) == (40 if rate == 0.0 else 4)
+            for cfg in cfgs:
+                try:
+                    engine.check_run(ds, split, cfg)
+                except ConfigError:
+                    rejected.append((rate, cfg.algorithm, cfg.sampling))
+                    with pytest.raises(ValueError):
+                        run_algorithm(ds, split, cfg, TrainConfig(epochs=1), Rng(2))
+                else:
+                    run_algorithm(ds, split, cfg, TrainConfig(epochs=1), Rng(2))
+        assert rejected == [(0.95, "CT", "x:norepl")] + [
+            (0.95, alg, mode) for alg in ("TT", "TTWD")
+            for mode in ("x_half:norepl", "x_half:repl", "x_third_disjoint:nointer")]
 
 
 def hand_written_supervised(ds, split, train_cfg, rng):

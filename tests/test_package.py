@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import proxyssl
+from proxyssl.engine import ALGORITHMS
 
 PACKAGE = Path(proxyssl.__file__).resolve().parent
 
@@ -29,3 +30,17 @@ def test_report_reads_no_training_code():
     # the read side takes runs from a log alone, so it must not depend on how they trained
     assert {"proxyssl.engine", "proxyssl.report"} <= package_imports("protocol")
     assert package_imports("report") <= {"proxyssl.stats", "proxyssl.errors"}
+
+
+def test_protocol_leaves_run_rules_to_the_engine():
+    # which runs can start is the engine's decision (engine.check_run), and a split marks
+    # its own arrays read-only, so protocol names no algorithm and freezes nothing
+    tree = ast.parse((PACKAGE / "protocol.py").read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert strings.isdisjoint(ALGORITHMS)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"TRI_TRAINING", "_TRI_TRAINING", "SAMPLING_MODES"})
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_read_only" not in defined

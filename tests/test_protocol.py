@@ -319,9 +319,12 @@ class TestSharedSplits:
                           n_seeds=1)
         plan = check_plan([grid])
         serial = run_grid(plan)
-        # a worker receives the runs pickled, through the pool's initializer
+        # a worker receives the runs pickled, through the pool's initializer, and their
+        # splits arrive read-only
         runs = pickle.loads(pickle.dumps(plan.runs))
-        assert runs[0][-1].test_idx.flags.writeable
+        for *_, split in runs:
+            for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
+                assert not idx.flags.writeable
         monkeypatch.setattr(protocol, "_worker_runs", None)
         protocol._init_worker(runs)
 
@@ -330,9 +333,6 @@ class TestSharedSplits:
 
         monkeypatch.setattr(protocol, "make_semi_split", no_split)
         executed = [protocol._run_in_worker(i) for i in range(len(runs))]
-        for *_, split in runs:
-            for idx in (split.labeled_idx, split.unlabeled_idx, split.test_idx):
-                assert not idx.flags.writeable
         assert ([executed[i][:2] for i, _, _ in plan.rows]
                 == [(r.max_test_acc, r.iterations) for r in serial])
 
@@ -426,6 +426,7 @@ def test_sigterm_to_run_leaves_no_worker(tmp_path):
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not (tmp_path / "out").exists()
         deadline = time.monotonic() + 10
         while live_group_members(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.1)
