@@ -29,7 +29,7 @@ DEFAULT_HIDDEN = (16, 16)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Step size and schedule of one fit call; Adam's betas and epsilon are fixed."""
 

@@ -20,8 +20,8 @@ import signal
 import sys
 
 from .dataset import load_csv, read_manifest, read_text
-from .errors import ConfigError, DataError, ProxySslError
-from .protocol import check_plan, planned_results, run_grid
+from .errors import DataError, ProxySslError
+from .protocol import check_plan, run_grid
 from .report import LOG_NAME, format_log, parse_log, report_files, write_tables
 from .specfile import parse_spec
 
@@ -58,12 +58,7 @@ def _exit_on_signal(signum, frame):
 def cmd_run(args):
     spec = parse_spec(args.spec)
     # a config error leaves no output directory; an unwritable one fails before training
-    plan = check_plan(spec.grids, args.jobs)
-    # the report of the plan names every file this run writes, and holds its every cell
-    try:
-        report_files(planned_results(plan), spec.reference)
-    except DataError as exc:
-        raise ConfigError(f"{args.spec}: {exc}") from None
+    plan = check_plan(spec.grids, spec.reference)
     out_dir, made = _resolve_out(args.out, spec.out_dir)
     # SIGTERM unwinds as SystemExit, so that a worker pool shuts down before the process ends
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)

@@ -1,11 +1,11 @@
-"""Experiment protocol: k-fold x multi-seed grids, baselines and tables.
+"""Experiment protocol: k-fold x multi-seed grids, their checked plan, and its execution.
 
 Every cell of a comparison table is n_folds x n_seeds runs. Seeds derive
 deterministically from (base_seed, dataset, rate, algorithm, fold, trial);
 the data split additionally excludes algorithm and trial from its seed so
 that all algorithms and trials of a (dataset, rate, fold) cell train on the
 identical split and results pair up for the t-test. ``report`` owns the run
-log that the results are written to.
+log that the results are written to and the tables built from it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,17 @@ import numpy as np
 from .classifier import TrainConfig
 from .dataset import Dataset, make_semi_split
 from .engine import SUPERVISED, SslConfig, check_run, run_algorithm, run_supervised
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DataError, ProtocolError
 from .numerics import Rng
-from .report import RunResult, check_log_field, format_row_label
+from .report import RunResult, check_log_field, format_row_label, report_files
 # not used here: perfbench/child.py times these layers under their protocol names
 from .report import format_log, parse_log, tables_from_results  # noqa: F401
 
 BASELINE_ALGORITHMS = ("oracle", "supervised")
+
+# most rows one plan may request, so that checking a plan takes bounded time and memory;
+# a spec shaped like the paper's (seven studies on four datasets) asks for about 9,100
+MAX_RUNS = 100_000
 
 
 def derive_seed(*parts):
@@ -38,7 +42,7 @@ def derive_seed(*parts):
     return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgorithmEntry:
     """One table row: an algorithm name plus its variant configuration."""
 
@@ -118,21 +122,14 @@ def _execute_run(grid, ds: Dataset, rate, entry: AlgorithmEntry, fold, trial, sp
 
 
 def enumerate_runs(grid: ExperimentGrid):
-    """Run descriptors in canonical order: oracle block, then rate blocks."""
-    runs = []
-    if grid.include_oracle:
-        oracle = AlgorithmEntry("oracle")
+    """Yield the run descriptors in canonical order: oracle block, then rate blocks."""
+    blocks = [(0.0, AlgorithmEntry("oracle"))] if grid.include_oracle else []
+    blocks += [(rate, entry) for rate in grid.unlabeled_rates for entry in grid.algorithms]
+    for rate, entry in blocks:
         for ds in grid.datasets:
             for fold in range(grid.n_folds):
                 for trial in range(grid.n_seeds):
-                    runs.append((ds, 0.0, oracle, fold, trial))
-    for rate in grid.unlabeled_rates:
-        for entry in grid.algorithms:
-            for ds in grid.datasets:
-                for fold in range(grid.n_folds):
-                    for trial in range(grid.n_seeds):
-                        runs.append((ds, rate, entry, fold, trial))
-    return runs
+                    yield ds, rate, entry, fold, trial
 
 
 class Plan(NamedTuple):
@@ -144,17 +141,18 @@ class Plan(NamedTuple):
     rows: list
 
 
-def check_plan(grids, jobs=1):
+def check_plan(grids, reference=None):
     """The ``Plan`` of a spec's grids; raises ``ConfigError`` or ``DataError``
-    for a plan that cannot run, before any training.
+    for a plan that cannot run or be reported, before any training.
 
     Identical work requested twice, by one grid or by two (same dataset, rate,
     algorithm, config, fold, trial, training config, folds and base seed),
     becomes one run; its seeds never involve the study. The runs of one
     (dataset, rate, fold) share its split, made here once, and
-    ``engine.check_run`` checks each run on it."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    ``engine.check_run`` checks each run on it. A plan may request at most
+    ``MAX_RUNS`` rows. Last, the plan's own report, at zero scores and with
+    ``reference`` ((dataset, rate, row) -> expected mean), must render: it
+    names every file the run writes and holds every cell a key names."""
     named, studies = {}, set()
     for grid in grids:
         if grid.study in studies:
@@ -168,8 +166,11 @@ def check_plan(grids, jobs=1):
     runs, rows, index, splits = [], [], {}, {}
     for grid in grids:
         for ds, rate, entry, fold, trial in enumerate_runs(grid):
-            key = (ds.name, rate, entry.algorithm, repr(entry.ssl), fold, trial,
-                   repr(grid.train), grid.n_folds, grid.base_seed)
+            if len(rows) == MAX_RUNS:
+                raise ConfigError(f"the plan requests more than {MAX_RUNS} runs; each study "
+                                  f"requests datasets x rates x rows x n_folds x n_seeds")
+            key = (ds.name, rate, entry.algorithm, entry.ssl, fold, trial,
+                   grid.train, grid.n_folds, grid.base_seed)
             if key not in index:
                 split_key = (ds.name, grid.base_seed, rate, fold, grid.n_folds)
                 if split_key not in splits:
@@ -184,7 +185,12 @@ def check_plan(grids, jobs=1):
                 index[key] = len(runs)
                 runs.append((grid, ds, rate, entry, fold, trial, split))
             rows.append((index[key], grid.study, entry.detail))
-    return Plan(runs, rows)
+    plan = Plan(runs, rows)
+    try:
+        report_files(_results(plan, [(0.0, 0, 0.0)] * len(runs)), reference)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+    return plan
 
 
 # BLAS pools the workers would otherwise start, each as wide as the machine
@@ -292,18 +298,12 @@ def run_grid(plan, jobs=1, progress=None):
         outcomes.append(outcome)
 
     workers = min(jobs, len(plan.runs))
-    if workers == 1:
+    if workers <= 1:
         for desc in plan.runs:
             done(_run_descriptor(desc))
     else:
         _map_in_pool(plan.runs, workers, done)
     return _results(plan, outcomes)
-
-
-def planned_results(plan):
-    """The rows ``run_grid`` would return for ``plan``, with zero scores: what a
-    report of the plan holds, before any training."""
-    return _results(plan, [(0.0, 0, 0.0)] * len(plan.runs))
 
 
 def _results(plan, outcomes):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,3 +466,14 @@ class TestPredict:
         m = zero_model(2, 2)
         m.biases[-1][0] = 5.0
         assert accuracy(m, np.ones((4, 2)), np.zeros(4, dtype=int)) == 1.0
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: TrainConfig(batch_size=0), ConfigError, "batch_size must be >= 1, got 0"),
+    (lambda: init_model(0, 2, Rng(1)), ValueError, "input_dim must be >= 1, got 0"),
+    (lambda: fit(init_model(2, 2, Rng(1)), np.eye(2), [0, 1], np.ones((0, 2)), [],
+                 TrainConfig(epochs=1), Rng(2)), ValueError, "fit needs a nonempty test set"),
+], ids=["batch_size-0", "input_dim-0", "empty-test-set"])
+def test_invalid_argument_rejected(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

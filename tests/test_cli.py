@@ -1,11 +1,17 @@
 import inspect
 import json
+import os
 import random
+import resource
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import proxyssl
 from proxyssl import protocol, stats
 from proxyssl.cli import build_parser, main
 from proxyssl.dataset import SAMPLING_MODES, save_csv
@@ -393,6 +399,33 @@ class TestRunAndReport:
         assert executed == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, code, message", [
+        ("n_seeds", 2, "more than 100000 runs"),
+        ("n_folds", 1, "dataset 'mini': class 0 has 60 samples, fewer than 12345678901234567890 "
+                       "folds"),
+    ])
+    def test_twenty_digit_grid_size_fails_cleanly_under_a_memory_cap(self, tmp_path, data_file,
+                                                                      key, code, message):
+        sizes = {"n_folds": 3, "n_seeds": 1, key: 12345678901234567890}
+        spec = tmp_path / "big.ini"
+        spec.write_text(f"[global]\ndatasets = {data_file}\nn_folds = {sizes['n_folds']}\n"
+                        f"n_seeds = {sizes['n_seeds']}\n[study s]\nrates = 0.9\n"
+                        "algorithms = supervised\n", encoding="utf-8")
+        src = str(Path(proxyssl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cap = 1 << 30  # a plan listed in full would outgrow it
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run([sys.executable, "-m", "proxyssl.cli", "run", str(spec),
+                               "--out", str(tmp_path / "out")], env=env, cwd=tmp_path,
+                              preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_study_name_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                         monkeypatch):
         # two sections whose names both strip to study "a"
@@ -528,6 +561,12 @@ class TestRunAndReport:
         spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms =\n")
         assert main(["run", str(spec)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_spec_file_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "nope.ini"
+        assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: spec file not found: {spec}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unsafe_dataset_name_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "comma.csv"
@@ -684,11 +723,18 @@ class TestRunAndReport:
          "[reference]", "expected a number, got 'inf'"),
         ("", "[study s]\nalgorithms = supervised, TBST\nmax_iterations = -1\n", "[study s]",
          "max_iterations must be >= 0"),
+        ("", "[study t]\nkind = thresholds\npairs = 0.7:0.9, 0.8\n", "[study t]",
+         "pairs: expected comma-separated lo:hi pairs, got '0.7:0.9, 0.8'"),
+        ("", "[study sw]\nkind = sweep\nfractions = 0.5, 1.5\n", "[study sw]",
+         "fractions: labeled fractions must lie in (0, 1], got '0.5, 1.5'"),
+        ("", "[study s]\nalgorithms = supervised\n[reference]\nmini-0.9 = 50\n", "[reference]",
+         "key 'mini-0.9' must look like 'news@0.90/TTWD'"),
     ], ids=["unknown-section", "unknown-key", "global-max_iterations", "default-max_iterations",
             "thresholds-tau1", "thresholds-CT", "epochs-abc", "global-alpha", "sweep-rates",
             "bad-boolean", "repeated-algorithm", "repeated-rate", "unused-mode", "unused-tau1",
             "learning_rate-nan", "learning_rate-inf", "reference-value", "reference-nan",
-            "reference-inf", "max_iterations-negative"])
+            "reference-inf", "max_iterations-negative", "pairs-malformed", "fraction-above-1",
+            "reference-key-malformed"])
     def test_misconfigured_spec_exit_2_before_training(self, tmp_path, data_file, capsys,
                                                        monkeypatch, global_extra, body,
                                                        section, key):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from proxyssl.dataset import (
     SAMPLING_MODES,
     Dataset,
+    SemiSplit,
     bootstrap_sample,
     load_csv,
     make_semi_split,
@@ -345,3 +347,39 @@ class TestBootstrapSample:
             bootstrap_sample(np.arange(5), "x_half:repl", 0, Rng(1))
         with pytest.raises(ValueError, match="at least 3"):
             bootstrap_sample(np.arange(2), "x:norepl", 0, Rng(1))
+
+
+def write_header(path, header):
+    write_lines(path, [header, "0,0,1.0", "1,1,2.0"])
+    return path
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda tmp: Dataset("k", np.ones((0, 2)), np.array([], dtype=np.int64)), DataError,
+     "dataset 'k': need n >= 1 and d >= 1"),
+    (lambda tmp: Dataset("k", np.ones((2, 0)), np.array([0, 1])), DataError,
+     "dataset 'k': need n >= 1 and d >= 1"),
+    (lambda tmp: Dataset("k", np.ones((3, 2)), np.array([0, 1])), DataError,
+     "dataset 'k': labels length != n rows"),
+    (lambda tmp: SemiSplit(np.array([0, 1]), np.array([1]), np.array([2])), DataError,
+     "split index sets overlap"),
+    (lambda tmp: load_csv(write_header(tmp / "h.csv", "# name=h d=1 bogus")), DataError,
+     "h.csv: malformed header token 'bogus'"),
+    (lambda tmp: make_semi_split(balanced_dataset(12), 0.5, 0, 1, Rng(1)), ConfigError,
+     "n_folds must be >= 2, got 1"),
+    (lambda tmp: make_semi_split(balanced_dataset(12), 0.5, 3, 3, Rng(1)), ConfigError,
+     "fold 3 out of range for 3 folds"),
+    (lambda tmp: make_semi_split(balanced_dataset(12), 0.5, -1, 3, Rng(1)), ConfigError,
+     "fold -1 out of range for 3 folds"),
+    (lambda tmp: bootstrap_sample(np.arange(10), "x:norepl", 3, Rng(1)), ValueError,
+     "model_slot must be 0..2, got 3"),
+], ids=["no-rows", "no-columns", "label-count", "overlapping-split", "header-token",
+        "one-fold", "fold-past-end", "fold-negative", "model-slot"])
+def test_invalid_input_rejected(tmp_path, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path)
+
+
+def test_make_blobs_needs_a_sample_per_class():
+    with pytest.raises(ValueError, match="need n >= n_classes, got n=2 n_classes=3"):
+        make_blobs("b", n=2, d=2, n_classes=3, separation=1.0, seed=0)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -479,3 +480,14 @@ class TestEpochScoring:
         cfg = SslConfig(alg, tau1=0.5, max_iterations=2)
         fits, scores = self.count(monkeypatch, lambda: run_algorithm(ds, split, cfg, FAST, Rng(9)))
         assert fits >= 4 and scores == 0
+
+
+@pytest.mark.parametrize("fields, fragment", [
+    ({"algorithm": "SVM"}, "unknown algorithm 'SVM'"),
+    ({"algorithm": "CBST", "count_lo": 5, "count_hi": 5},
+     "need 0 <= count_lo < count_hi, got 5, 5"),
+    ({"algorithm": "TT", "eval_mode": "vote"}, "unknown eval_mode 'vote'"),
+], ids=["algorithm", "count-window", "eval_mode"])
+def test_invalid_config_rejected(fields, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        SslConfig(**fields)

@@ -41,8 +41,9 @@ BUDGET = 150  # mutants per reader
 TOKENS = ["nan", "inf", "1e999", "1e160", "1e200", "-1", "0", "0.5", "\0", "\r", "#", "=",
           ",", "/", "12345678901234567890", " ", ""]
 
-# a mutant spec that asks for more is counted and skipped, not run: a spliced 20-digit
-# n_seeds or epochs is valid, and would train for hours
+# a mutant spec that asks for more is counted and skipped, not run, to bound training time
+# only: a spliced 20-digit epochs is valid and would train for hours, while run rejects a plan
+# of more than protocol.MAX_RUNS rows itself, before training
 MAX_RUNS, MAX_EPOCHS, MAX_ITERATIONS = 60, 3, 3
 
 SPEC = """[global]

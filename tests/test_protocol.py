@@ -7,7 +7,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
+import types
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,10 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="jobs"):
             run_grid(check_plan([small_grid()]), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_plan_runs_nothing(self, jobs):
+        assert run_grid(check_plan([]), jobs=jobs) == []
+
     def test_oracle_equals_rate_zero_supervised(self):
         grid = small_grid(include_oracle=True)
         results = run_grid(check_plan([grid]))
@@ -254,6 +259,17 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             ExperimentGrid(datasets=[ds], algorithms=[], unlabeled_rates=[0.9])
 
+    @pytest.mark.parametrize("change, fragment", [
+        ({"datasets": []}, "grid needs at least one dataset"),
+        ({"unlabeled_rates": [0.9, 1.0]}, "unlabeled rate must lie in [0, 1), got 1.0"),
+        ({"unlabeled_rates": [-0.1]}, "unlabeled rate must lie in [0, 1), got -0.1"),
+        ({"n_folds": 1}, "need n_folds >= 2 and n_seeds >= 1"),
+        ({"n_seeds": 0}, "need n_folds >= 2 and n_seeds >= 1"),
+    ], ids=["no-dataset", "rate-1", "rate-negative", "n_folds-1", "n_seeds-0"])
+    def test_invalid_grid_rejected(self, change, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            replace(small_grid(), **change)
+
     @pytest.mark.parametrize("name, ssl", [
         ("TT", SslConfig("TBST", max_iterations=1)),
         ("supervised", SslConfig("CT", max_iterations=1)),
@@ -335,6 +351,69 @@ class TestSharedSplits:
         executed = [protocol._run_in_worker(i) for i in range(len(runs))]
         assert ([executed[i][:2] for i, _, _ in plan.rows]
                 == [(r.max_test_acc, r.iterations) for r in serial])
+
+
+class TestCheckPlan:
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a run executed")
+
+        monkeypatch.setattr(protocol, "_execute_run", no_training)
+
+    @pytest.mark.parametrize("key, text", [(("mini", 0.9, "Supervsed"), "mini@0.9/Supervsed"),
+                                           (("mnii", 0.9, "Supervised"), "mnii@0.9/Supervised"),
+                                           (("mini", 0.8, "Supervised"), "mini@0.8/Supervised")])
+    def test_reference_key_naming_no_cell_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"key '{text}' names no table cell"):
+            check_plan([small_grid()], {key: 50.0})
+
+    def test_series_name_shared_by_two_studies_rejected(self):
+        # study a_b on dataset c and study a on dataset b_c both name series_a_b_c.txt
+        def grid(study, name):
+            ds = make_blobs(name, n=60, d=4, n_classes=2, separation=4.0, seed=1)
+            return ExperimentGrid(datasets=[ds], algorithms=[AlgorithmEntry("supervised")],
+                                  unlabeled_rates=[0.9, 0.8], n_folds=2, n_seeds=1,
+                                  train=FAST, study=study, include_oracle=False)
+
+        with pytest.raises(ConfigError, match="study 'a_b' dataset 'c' and study 'a' dataset "
+                                              "'b_c' would both write series_a_b_c.txt"):
+            check_plan([grid("a_b", "c"), grid("a", "b_c")])
+
+    def test_rows_past_max_runs_rejected(self, monkeypatch):
+        made = []
+        real = protocol.make_semi_split
+        monkeypatch.setattr(protocol, "make_semi_split", lambda *a: made.append(a) or real(*a))
+        monkeypatch.setattr(protocol, "MAX_RUNS", 30)
+        grid = small_grid()
+        assert len(check_plan([grid]).rows) == 30  # oracle and one rate, 15 runs each
+        with pytest.raises(ConfigError, match="more than 30 runs"):
+            check_plan([grid, replace(grid, study="again", include_oracle=False)])
+        # the bound holds before the rows are listed, whatever the grid asks for
+        made.clear()
+        with pytest.raises(ConfigError, match="more than 30 runs"):
+            check_plan([small_grid(n_seeds=10**20)])
+        assert len(made) == 1
+
+    def test_enumerate_runs_yields_in_canonical_order(self):
+        grid = small_grid(rates=(0.9, 0.8), n_seeds=2)
+        runs = protocol.enumerate_runs(grid)
+        assert isinstance(runs, types.GeneratorType)
+        # the request keys that perfbench/run.py builds, in one pass over the generator
+        keys = [(ds.name, 0.0 if entry.algorithm == "oracle" else rate, entry.algorithm,
+                 repr(entry.ssl), fold, trial)
+                for ds, rate, entry, fold, trial in protocol.enumerate_runs(grid)]
+        assert keys == [("mini", rate, algorithm, "None", fold, trial)
+                        for rate, algorithm in ((0.0, "oracle"), (0.9, "supervised"),
+                                                (0.8, "supervised"))
+                        for fold in range(3) for trial in range(2)]
+
+    @pytest.mark.parametrize("config, name", [(FAST, "epochs"),
+                                              (AlgorithmEntry("supervised"), "detail")])
+    def test_plan_configs_are_frozen(self, config, name):
+        # a config changed after check_plan would run under a key deduplicated as another
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, 7)
 
 
 UNGUARDED_SCRIPT = """
