@@ -14,9 +14,7 @@ $PROXYSSL_OUT, then ./results. Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
-import signal
 import sys
 
 from .dataset import load_csv, read_manifest, read_text
@@ -44,33 +42,18 @@ def cmd_validate(args):
 
 
 def _resolve_out(cli_out, spec_out=None):
-    """The output directory, made if missing, and whether this call made it."""
-    out = cli_out or spec_out or os.environ.get(ENV_OUT) or "results"
-    made = not os.path.isdir(out)
-    os.makedirs(out, exist_ok=True)
-    return out, made
-
-
-def _exit_on_signal(signum, frame):
-    raise SystemExit(128 + signum)
+    return cli_out or spec_out or os.environ.get(ENV_OUT) or "results"
 
 
 def cmd_run(args):
     spec = parse_spec(args.spec)
-    # a config error leaves no output directory; an unwritable one fails before training
     plan = check_plan(spec.grids, spec.reference)
-    out_dir, made = _resolve_out(args.out, spec.out_dir)
-    # SIGTERM unwinds as SystemExit, so that a worker pool shuts down before the process ends
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
-    try:
-        results = run_grid(plan, jobs=args.jobs)
-    except BaseException:
-        if made:  # a failed run leaves no directory behind that it made; rmdir keeps a full one
-            with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
-        raise
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    out_dir = _resolve_out(args.out, spec.out_dir)
+    if not os.path.isdir(out_dir):  # one that cannot be made fails before training
+        os.makedirs(out_dir)
+        os.rmdir(out_dir)
+    results = run_grid(plan, jobs=args.jobs)
+    os.makedirs(out_dir, exist_ok=True)  # only now: a run that fails or is killed leaves none
     log_path = os.path.join(out_dir, LOG_NAME)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_log(results))
@@ -86,7 +69,9 @@ def cmd_report(args):
     if not results:
         raise DataError(f"{args.log}: no run lines")
     files = report_files(results)
-    for path in write_tables(files, _resolve_out(args.out)[0]):
+    out_dir = _resolve_out(args.out)
+    os.makedirs(out_dir, exist_ok=True)
+    for path in write_tables(files, out_dir):
         print(f"wrote {path}")
     return 0
 

@@ -163,6 +163,8 @@ def load_csv(path):
 
 def save_csv(ds: Dataset, path):
     """Write a Dataset in the load_csv format (row index as id)."""
+    if any(ch.isspace() for ch in ds.name):  # load_csv splits the header at whitespace
+        raise DataError(f"dataset name {ds.name!r} must not contain whitespace to be saved")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# name={ds.name} d={ds.d}\n")
         for i in range(ds.n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import threading
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -218,6 +219,13 @@ def _run_descriptor(desc):
 def _init_worker(runs):
     global _worker_runs
     _worker_runs = runs
+    import multiprocessing
+    parent = multiprocessing.parent_process()  # None when a test calls this in process
+    if parent is not None:  # the pool's queues never close under a worker, which holds both ends
+        def exit_with_parent():
+            parent.join()  # waits on the parent's sentinel
+            os._exit(1)
+        threading.Thread(target=exit_with_parent, daemon=True).start()
 
 
 def _run_in_worker(index):

@@ -187,12 +187,15 @@ def parse_spec(path):
     All datasets must exist and all configs must pass their invariants
     before any training starts.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"spec file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)  # values are literal text
     cp.optionxform = str  # keep key case for dataset names in [reference]
     try:
-        cp.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"spec file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the spec file: {exc.strerror}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     try:

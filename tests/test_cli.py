@@ -227,10 +227,26 @@ class TestRunAndReport:
         lines = (out / "series_base_mini.txt").read_text().splitlines()
         assert len(lines) == 2 and lines[0].startswith("0.1 ")
 
-    def test_run_restores_the_sigterm_handler(self, tmp_path, data_file):
-        before = signal.getsignal(signal.SIGTERM)
-        self.run_spec(tmp_path, data_file)
-        assert signal.getsignal(signal.SIGTERM) is before
+    def test_run_restores_the_sigterm_handler(self, tmp_path, data_file, monkeypatch):
+        # run installs no handler of its own, not even while it trains
+        def handler(signum, frame):
+            pass
+
+        during = []
+        execute = protocol._execute_run
+
+        def recording(*desc):
+            during.append(signal.getsignal(signal.SIGTERM))
+            return execute(*desc)
+
+        monkeypatch.setattr(protocol, "_execute_run", recording)
+        before = signal.signal(signal.SIGTERM, handler)
+        try:
+            self.run_spec(tmp_path, data_file)
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, before)
+        assert during and all(h is handler for h in during)
 
     @staticmethod
     def overflowing_spec(tmp_path, big):
@@ -566,6 +582,11 @@ class TestRunAndReport:
         spec = tmp_path / "nope.ini"
         assert main(["run", str(spec), "--out", str(tmp_path / "out")]) == 2
         assert f"error: spec file not found: {spec}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_as_spec_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {tmp_path}: cannot read the spec file: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unsafe_dataset_name_exit_1_before_training(self, tmp_path, capsys, monkeypatch):

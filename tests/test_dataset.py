@@ -126,6 +126,20 @@ class TestLoadCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert np.max(np.abs(back.features - ds.features)) < 1e-12
 
+    @pytest.mark.parametrize("name", ["a=b", "#x"])
+    def test_name_round_trip(self, tmp_path, name):
+        p = tmp_path / "named.csv"
+        save_csv(Dataset(name, np.ones((2, 1)), np.array([0, 1])), p)
+        assert load_csv(p).name == name
+
+    @pytest.mark.parametrize("name", ["my data", "a\tb", "x\x0by", "n d=3"])
+    def test_name_with_whitespace_not_saved(self, tmp_path, name):
+        # load_csv splits the header at whitespace, so it could not read the name back
+        p = tmp_path / "named.csv"
+        with pytest.raises(DataError, match="must not contain whitespace"):
+            save_csv(Dataset(name, np.ones((2, 1)), np.array([0, 1])), p)
+        assert not p.exists()
+
     def test_manifest_round_trip(self, tmp_path):
         ds = make_blobs("mani", n=20, d=3, n_classes=2, separation=3.0, seed=2)
         p = tmp_path / "mani.csv"
