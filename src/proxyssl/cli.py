@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .dataset import load_csv, read_manifest, read_text
@@ -116,5 +117,17 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
+def cli():
+    """The ``proxyssl`` command: ``main`` with SIGINT's default action.
+
+    A KeyboardInterrupt raised inside ``concurrent.futures``' ``submit`` can
+    leave a queue lock held, and the pool's shutdown then waits forever; so
+    Ctrl-C ends the process, as SIGTERM does. ``main`` itself, which runs in
+    other processes too, changes no signal.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,14 +112,25 @@ def read_text(path):
         raise DataError(f"{path}: {exc}") from None
 
 
+# numpy's parser strips these around a number as whitespace; float() and int() reject them
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_csv(path):
-    """Parse a dataset file in the format above."""
-    # records end in "\n" only; str.splitlines also breaks at "\f", U+2028, ...
-    lines = read_text(path).split("\n")
-    if not lines[0].startswith("#"):
+    """Parse a dataset file in the format above.
+
+    A body of ASCII lines without ``_NUMPY_ONLY_SPACE`` goes through one
+    ``np.loadtxt`` pass: on such text numpy's number grammar is a subset of
+    ``float()``'s and ``int()``'s, with the same bits. Whatever that pass
+    rejects, and any other body, goes through the line parser, which returns
+    the same Dataset or raises the DataError with its line number.
+    """
+    # read_text turned "\r\n" and "\r" into "\n"; str.splitlines would also break at "\f", ...
+    head, *body = read_text(path).split("\n")
+    if not head.startswith("#"):
         raise DataError(f"{path}: missing '# name=... d=...' header line")
     header = {}
-    for tok in lines[0].lstrip("#").split():
+    for tok in head.lstrip("#").split():
         if "=" not in tok:
             raise DataError(f"{path}: malformed header token {tok!r}")
         k, v = tok.split("=", 1)
@@ -131,8 +143,30 @@ def load_csv(path):
         raise DataError(f"{path}: header d={header['d']!r} is not an integer")
     if d < 1:
         raise DataError(f"{path}: header d={d} must be at least 1")
+    # a first row of 2 + d fields bounds the row that numpy allocates by the file's size
+    if (body and body[0].count(",") == d + 1
+            and all(line.isascii() and not any(c in line for c in _NUMPY_ONLY_SPACE)
+                    for line in body)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data" is a UserWarning
+                rows = np.loadtxt(body, dtype=[("id", np.int64), ("label", np.int64),
+                                               ("f", np.float64, (d,))],
+                                  delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):  # the line parser names the line
+            pass
+        else:
+            if rows["label"].min() >= 0:  # else the line parser names the line
+                # Dataset copies the strided features; a view of the labels would keep rows alive
+                return Dataset(name=header["name"], features=rows["f"],
+                               labels=rows["label"].copy())
+    return _parse_lines(path, header["name"], d, body)
+
+
+def _parse_lines(path, name, d, body):
+    """The Dataset of the lines after the header, parsed one field at a time."""
     features, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -155,7 +189,7 @@ def load_csv(path):
     except OverflowError:
         raise DataError(f"{path}: label {max(labels)} is out of range") from None
     return Dataset(
-        name=header["name"],
+        name=name,
         features=np.array(features, dtype=np.float64),
         labels=labels,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import sys
 import threading
 import time
@@ -222,6 +223,9 @@ def _init_worker(runs):
     import multiprocessing
     parent = multiprocessing.parent_process()  # None when a test calls this in process
     if parent is not None:  # the pool's queues never close under a worker, which holds both ends
+        # a terminal's Ctrl-C reaches the whole group: the parent ends, and then the worker
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
         def exit_with_parent():
             parent.join()  # waits on the parent's sentinel
             os._exit(1)

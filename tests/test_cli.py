@@ -32,6 +32,18 @@ def data_file(tmp_path):
     return p
 
 
+def run_under_memory_cap(argv, cwd, cap=1 << 30):
+    """The finished ``python -m proxyssl.cli *argv``, its address space capped at ``cap`` bytes."""
+    src = str(Path(proxyssl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-m", "proxyssl.cli", *argv], env=env, cwd=cwd,
+                          preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+
+
 def write_spec(tmp_path, data_file, body):
     spec = tmp_path / "exp.ini"
     spec.write_text(
@@ -99,6 +111,15 @@ class TestValidate:
         p.write_text(f"# name=x d=2\n0,0,1.0,1.0\n{row}\n", encoding="utf-8")
         assert main(["validate", str(p)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [10**8, 10**9, 12345678901234567890])
+    def test_huge_header_d_fails_cleanly_under_a_memory_cap(self, tmp_path, d):
+        # one row of d float64 features would outgrow the cap
+        p = tmp_path / "wide.csv"
+        p.write_text(f"# name=x d={d}\n0,0,1.0\n", encoding="utf-8")
+        proc = run_under_memory_cap(["validate", str(p)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: {p}:2: expected {d + 2} fields, got 3\n"
 
     @pytest.mark.parametrize("payload", ["{bad", "[1,2]"])
     def test_malformed_manifest_exit_1(self, data_file, capsys, payload):
@@ -427,16 +448,8 @@ class TestRunAndReport:
         spec.write_text(f"[global]\ndatasets = {data_file}\nn_folds = {sizes['n_folds']}\n"
                         f"n_seeds = {sizes['n_seeds']}\n[study s]\nrates = 0.9\n"
                         "algorithms = supervised\n", encoding="utf-8")
-        src = str(Path(proxyssl.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        cap = 1 << 30  # a plan listed in full would outgrow it
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        proc = subprocess.run([sys.executable, "-m", "proxyssl.cli", "run", str(spec),
-                               "--out", str(tmp_path / "out")], env=env, cwd=tmp_path,
-                              preexec_fn=limit_memory, capture_output=True, text=True, timeout=60)
+        # a plan listed in full would outgrow the cap
+        proc = run_under_memory_cap(["run", str(spec), "--out", str(tmp_path / "out")], tmp_path)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith("error: ") and message in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -5,14 +5,17 @@ import re
 import numpy as np
 import pytest
 
+from proxyssl import dataset
 from proxyssl.dataset import (
     SAMPLING_MODES,
     Dataset,
     SemiSplit,
+    _parse_lines,
     bootstrap_sample,
     load_csv,
     make_semi_split,
     read_manifest,
+    read_text,
     save_csv,
     split_features,
 )
@@ -147,6 +150,59 @@ class TestLoadCsv:
         payload = {"name": "mani", "n": 20, "d": 3, "n_classes": 2, "task": "sentiment analysis"}
         (tmp_path / "mani.csv.manifest.json").write_text(json.dumps(payload), encoding="utf-8")
         assert read_manifest(p) == payload
+
+
+# tokens where the grammars of np.loadtxt and of float()/int() differ, or come close
+SPLICE_TOKENS = ["1_0", "\u0661", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "\t", "\r",
+                 "\xa0", "\u3000", " 3", "+3", "3.0", "1e", "nan", "1e999",
+                 "9223372036854775808", "0x1", "#", '"0.5"', ""]
+
+
+def outcome(call):
+    """``call()``'s Dataset as bytes, or the text of its DataError."""
+    try:
+        ds = call()
+    except DataError as exc:
+        return str(exc)
+    return ds.name, ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
+
+
+class TestLoadCsvPaths:
+    """load_csv parses a body in one np.loadtxt pass, and falls back to _parse_lines."""
+
+    @pytest.mark.parametrize("token", SPLICE_TOKENS, ids=ascii)
+    def test_same_result_as_line_parser(self, tmp_path, token):
+        p = tmp_path / "splice.csv"
+        save_csv(make_blobs("s", n=6, d=2, n_classes=2, separation=4.0, seed=1), p)
+        head, *body = p.read_text(encoding="utf-8").split("\n")
+        for field in range(3):  # the id, the label and the first feature
+            for at in ("replace", "before", "after"):
+                fields = body[1].split(",")
+                fields[field] = {"replace": token, "before": token + fields[field],
+                                 "after": fields[field] + token}[at]
+                p.write_text("\n".join([head, body[0], ",".join(fields), *body[2:]]),
+                             encoding="utf-8", newline="")
+                lines = read_text(p).split("\n")[1:]
+                assert outcome(lambda: load_csv(p)) == \
+                       outcome(lambda: _parse_lines(p, "s", 2, lines)), (field, at)
+
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("load_csv fell back to the line parser")
+        monkeypatch.setattr(dataset, "_parse_lines", refuse)
+
+    @pytest.mark.parametrize("name", ["blobs", "caf\u00e9"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_valid_file_takes_one_numpy_pass(self, tmp_path, no_line_parser, name, newline):
+        ds = make_blobs(name, n=40, d=5, n_classes=3, separation=3.0, seed=4)
+        p = tmp_path / "fast.csv"
+        save_csv(ds, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", newline.encode()))
+        back = load_csv(p)
+        assert back.name == name
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.features, ds.features)
 
 
 class TestDataset:

@@ -2,7 +2,9 @@
 
 Each mutant of a valid spec goes through ``run``; each mutant of a dataset
 file through ``validate``, then through ``run`` when ``validate`` accepts it;
-each mutant of a run log through ``report``. A mutation splices a token that
+each mutant of a run log through ``report``. Each dataset mutant is also
+loaded twice, once as is and once with ``np.loadtxt`` made to fail, which
+forces ``load_csv``'s line parser. A mutation splices a token that
 readers tend to mishandle into a line, replaces a field with one, or
 duplicates or deletes a line (Miller, Fredriksen & So 1990, "An Empirical
 Study of the Reliability of UNIX Utilities"; the dictionary mutations of
@@ -10,8 +12,9 @@ American Fuzzy Lop).
 
 With RuntimeWarning raised as an error, every call must return 0, 1 or 2, or
 3 with "overflow encountered" on stderr, and raise nothing; a nonzero exit
-leaves no output directory; and ``report`` of an accepted run's log
-reproduces that run's table and series files.
+leaves no output directory; ``report`` of an accepted run's log reproduces
+that run's table and series files; and both loads of a dataset mutant give
+bit-identical arrays or the same error.
 
 A larger budget, or another seed, runs as a script:
 
@@ -29,9 +32,11 @@ import traceback
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+from proxyssl import dataset
 from proxyssl.cli import main
-from proxyssl.dataset import save_csv
+from proxyssl.dataset import load_csv, save_csv
 from proxyssl.specfile import parse_spec
 from proxyssl.synthetic import make_blobs
 
@@ -85,6 +90,15 @@ def mutate(text, rng):
         elif len(lines) > 1:
             del lines[i]
     return "\n".join(lines)
+
+
+def load_outcome(path):
+    """``load_csv``'s Dataset as bytes, or the type and text of what it raised."""
+    try:
+        ds = load_csv(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return ds.name, ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()
 
 
 def too_big(spec_path):
@@ -173,6 +187,12 @@ class Fuzzer:
 
             text = mutate(data_text, self.rng)
             data_path = self.write("mutant.csv", text)
+            fast = load_outcome(data_path)
+            with mock.patch.object(dataset.np, "loadtxt", side_effect=ValueError):
+                lines = load_outcome(data_path)
+            if fast != lines:
+                self.fail("dataset", text, f"load_csv gave {fast[:2]!r}, "
+                                           f"its line parser {lines[:2]!r}")
             if self.call("dataset", text, ["validate", str(data_path)]) == 0:
                 self.run_and_report("dataset", text, mutant_data_spec)
 

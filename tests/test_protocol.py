@@ -483,7 +483,8 @@ def spawned_workers(pgid):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT, signal.SIGKILL],
+                         ids=["SIGTERM", "SIGINT", "SIGKILL"])
 def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
     data = tmp_path / "blobs.csv"
     save_csv(make_blobs("blobs", n=120, d=8, n_classes=2, separation=4.0, seed=1), data)
