@@ -201,7 +201,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _worker_runs = None  # a pool worker's copy of the plan's runs
 
 _MAIN_GUARD = ('a script must call run_grid with jobs > 1 under `if __name__ == "__main__":`, '
-              "since each worker process imports the script's main module as it starts")
+              "since each spawned worker process imports the script's main module as it starts")
 
 
 def _cell(desc):
@@ -217,9 +217,62 @@ def _run_descriptor(desc):
         raise ProtocolError(f"run failed for {_cell(desc)}: {exc}") from exc
 
 
-def _init_worker(runs):
+def _openblas():
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS this process has
+    loaded, or ``None`` where no mapped library exports them.
+
+    Looks in each library named like OpenBLAS in ``/proc/self/maps``, under the
+    plain names and the ``scipy_`` prefix and ``64_`` suffix of numpy's wheels.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # each line: address, perms, offset, device, inode, then the mapped path if any
+            paths = {fields[5].strip() for line in fh
+                     if len(fields := line.split(maxsplit=5)) == 6}
+    except OSError:  # no /proc: macOS, Windows
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded, so this returns its handle
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                set_num_threads, get_num_threads = (
+                    getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}", None)
+                    for verb in ("set", "get"))
+                if set_num_threads and get_num_threads:
+                    set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+                    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                    return set_num_threads, get_num_threads
+    return None
+
+
+def _fork_pin():
+    """``(set_num_threads, width)`` that a forked worker applies to its BLAS, or
+    ``None`` where workers must be spawned.
+
+    A forked worker inherits the BLAS as the parent set it up at import, so it
+    can take the width from ``OPENBLAS_NUM_THREADS`` only through OpenBLAS's own
+    setter. A width that setter cannot take, one that is not a positive C
+    ``int``, is left to OpenBLAS to read, in a spawned worker.
+    """
+    import multiprocessing
+    width = os.environ["OPENBLAS_NUM_THREADS"]
+    if "fork" not in multiprocessing.get_all_start_methods() or not (
+            width.isascii() and width.isdigit() and 0 < int(width) < 2**31):
+        return None
+    blas = _openblas()
+    return (blas[0], int(width)) if blas else None
+
+
+def _init_worker(runs, pin=None):
     global _worker_runs
     _worker_runs = runs
+    if pin is not None:  # forked: the parent set this BLAS up at import, as wide as the machine
+        set_num_threads, width = pin
+        set_num_threads(width)
     import multiprocessing
     parent = multiprocessing.parent_process()  # None when a test calls this in process
     if parent is not None:  # the pool's queues never close under a worker, which holds both ends
@@ -237,12 +290,18 @@ def _run_in_worker(index):
 
 
 def _map_in_pool(runs, workers, on_result):
-    """Execute ``runs`` in ``workers`` spawned processes; results reach ``on_result`` in order.
+    """Execute ``runs`` in ``workers`` processes; results reach ``on_result`` in order.
 
-    Each worker receives the descriptor list once, through the pool's
-    initializer, and then only indices into it. Its BLAS runs single-threaded
-    unless the user has set the thread variables; they stay set until the
-    pool has shut down, since workers start as tasks are submitted.
+    The workers are forked where the platform can fork and the loaded BLAS is
+    an OpenBLAS whose thread count ``_openblas`` can set: each inherits the
+    imported modules and the descriptor list, with nothing re-imported or
+    pickled, and its initializer pins its BLAS to ``OPENBLAS_NUM_THREADS``
+    threads, 1 unless the user has set it. Elsewhere they are spawned: each
+    imports proxyssl afresh and receives the descriptor list once, pickled,
+    through the initializer, and only then is a script's main guard needed.
+    Either way a worker then receives only indices into the list, and the
+    BLAS thread variables are set to 1 unless the user has set them, until the
+    pool has shut down, since spawned workers start as tasks are submitted.
     """
     # loaded here, not at the top: serial commands skip their import time and memory
     import multiprocessing
@@ -252,16 +311,18 @@ def _map_in_pool(runs, workers, on_result):
     for name in BLAS_THREAD_VARS:
         os.environ.setdefault(name, "1")
     try:
+        pin = _fork_pin()
         pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=multiprocessing.get_context("spawn"),
-                                   initializer=_init_worker, initargs=(runs,))
+                                   mp_context=multiprocessing.get_context(
+                                       "fork" if pin else "spawn"),
+                                   initializer=_init_worker, initargs=(runs, pin))
         try:
             results = pool.map(_run_in_worker, range(len(runs)))
             for received, desc in enumerate(runs):
                 try:
                     res = next(results)
                 except BrokenExecutor as exc:
-                    hint = "" if received else f"; {_MAIN_GUARD}"
+                    hint = "" if received or pin else f"; {_MAIN_GUARD}"
                     raise ProtocolError(f"a worker process died before run {_cell(desc)} "
                                         f"finished ({exc}){hint}") from exc
                 on_result(res)

@@ -45,6 +45,12 @@ BUDGET = 150  # mutants per reader
 
 TOKENS = ["nan", "inf", "1e999", "1e160", "1e200", "-1", "0", "0.5", "\0", "\r", "#", "=",
           ",", "/", "12345678901234567890", " ", ""]
+# dataset mutants splice the information separators \x1c-\x1f, which numpy strips as whitespace
+# and float() rejects, in place of "1e999", "1e200" and "/"; each replacement is as long as the
+# token it replaces and holds no "," or "=", so a dataset mutant draws from the generator what it
+# drew with TOKENS, and the spec and log mutants after it are unchanged
+DATA_TOKENS = [{"1e999": "\x1d1e9\x1d", "1e200": "1e2\x1e\x1f", "/": "\x1c"}.get(t, t)
+               for t in TOKENS]
 
 # a mutant spec that asks for more is counted and skipped, not run, to bound training time
 # only: a spliced 20-digit epochs is valid and would train for hours, while run rejects a plan
@@ -72,18 +78,18 @@ d@0.5/Supervised = 50
 """
 
 
-def mutate(text, rng):
-    """``text`` with one to three line mutations."""
+def mutate(text, rng, tokens=TOKENS):
+    """``text`` with one to three line mutations, splicing ``tokens``."""
     lines = text.split("\n")
     for _ in range(rng.randint(1, 3)):
         i, op = rng.randrange(len(lines)), rng.randrange(4)
         if op == 0:
             at = rng.randint(0, len(lines[i]))
-            lines[i] = lines[i][:at] + rng.choice(TOKENS) + lines[i][at + rng.randint(0, 2):]
+            lines[i] = lines[i][:at] + rng.choice(tokens) + lines[i][at + rng.randint(0, 2):]
         elif op == 1:
             sep = rng.choice(",=")
             fields = lines[i].split(sep)
-            fields[rng.randrange(len(fields))] = rng.choice(TOKENS)
+            fields[rng.randrange(len(fields))] = rng.choice(tokens)
             lines[i] = sep.join(fields)
         elif op == 2:
             lines.insert(i, lines[i])
@@ -185,7 +191,7 @@ class Fuzzer:
             else:
                 self.run_and_report("spec", text, spec_path)
 
-            text = mutate(data_text, self.rng)
+            text = mutate(data_text, self.rng, DATA_TOKENS)
             data_path = self.write("mutant.csv", text)
             fast = load_outcome(data_path)
             with mock.patch.object(dataset.np, "loadtxt", side_effect=ValueError):

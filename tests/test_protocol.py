@@ -36,6 +36,11 @@ from proxyssl.synthetic import make_blobs
 
 FAST = TrainConfig(epochs=2, batch_size=32)
 
+# run_grid forks its workers here; elsewhere it spawns them
+FORKS = "fork" in multiprocessing.get_all_start_methods() and protocol._openblas() is not None
+forked_only = pytest.mark.skipif(not FORKS, reason="workers are spawned: fork or OpenBLAS's "
+                                                   "thread setter is missing")
+
 
 def small_grid(algorithms=None, rates=(0.9,), include_oracle=True, n_seeds=5, study="baselines"):
     ds = make_blobs("mini", n=150, d=6, n_classes=2, separation=4.0, seed=3)
@@ -74,6 +79,17 @@ def failing_grid():
         train=TrainConfig(epochs=2, batch_size=32, learning_rate=1e300))
 
 
+def without_wall(results):
+    return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in results]
+
+
+def parallel_grids():
+    grid = small_grid(algorithms=[AlgorithmEntry("supervised"),
+                                  AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
+                      include_oracle=False, n_seeds=2)
+    return [grid, replace(grid, study="again")]  # every run of "again" repeats one
+
+
 class TestRunGrid:
     def test_fifteen_runs_per_cell(self):
         results = run_grid(check_plan([small_grid(include_oracle=False)]))
@@ -96,20 +112,27 @@ class TestRunGrid:
         assert [r.max_test_acc for r in a] == [r.max_test_acc for r in b]
 
     def test_jobs_parallel_matches_serial(self):
-        grid = small_grid(algorithms=[AlgorithmEntry("supervised"),
-                                      AlgorithmEntry("TBST", SslConfig("TBST", max_iterations=1))],
-                          include_oracle=False, n_seeds=2)
-        grids = [grid, replace(grid, study="again")]  # every run of "again" repeats one
+        grids = parallel_grids()
         serial = run_grid(check_plan(grids), jobs=1)
         called_in = []
         parallel = run_grid(check_plan(grids), jobs=2,
                             progress=lambda r: called_in.append(os.getpid()))
-
-        def without_wall(results):
-            return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in results]
-
         assert without_wall(parallel) == without_wall(serial)
         assert called_in == [os.getpid()] * (len(serial) // 2)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_match_serial(self, monkeypatch):
+        # without OpenBLAS's thread setter, the workers are spawned, as without fork
+        monkeypatch.setattr(protocol, "_openblas", lambda: None)
+        methods = []
+        real = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: methods.append(method) or real(method))
+        grids = parallel_grids()
+        serial = run_grid(check_plan(grids), jobs=1)
+        parallel = run_grid(check_plan(grids), jobs=2)
+        assert methods == ["spawn"]
+        assert without_wall(parallel) == without_wall(serial)
         assert multiprocessing.active_children() == []
 
     def test_pool_size_capped_by_distinct_runs(self, monkeypatch):
@@ -180,12 +203,14 @@ class TestRunGrid:
             run_grid(check_plan([failing_grid()]), jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_is_protocol_error(self):
+    def test_dead_worker_is_protocol_error(self, monkeypatch):
         class ExitOnLoad:
-            # unpickling this in a worker ends the process at once
+            # unpickling this in a spawned worker ends the process at once
             def __reduce__(self):
                 return os._exit, (70,)
 
+        # a forked worker inherits this patch, and ends as its first run starts
+        monkeypatch.setattr(protocol, "_execute_run", lambda *desc: os._exit(70))
         grid = small_grid(include_oracle=False, n_seeds=1)
         grid.datasets[0].unpicklable = ExitOnLoad()
         with pytest.raises(ProtocolError, match="worker process died before run "
@@ -417,50 +442,41 @@ class TestCheckPlan:
 
 
 UNGUARDED_SCRIPT = """
+from dataclasses import astuple
+
 from proxyssl import AlgorithmEntry, ExperimentGrid, TrainConfig, check_plan, run_grid
 from proxyssl.synthetic import make_blobs
 
 grid = ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=1)],
                       algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
                       n_seeds=1, train=TrainConfig(epochs=1), include_oracle=False)
-run_grid(check_plan([grid]), jobs=2)
+plan = check_plan([grid])
+parallel, serial = run_grid(plan, jobs=2), run_grid(plan, jobs=1)
+print("same results" if [astuple(r)[:-1] for r in parallel] == [astuple(r)[:-1] for r in serial]
+      else "different results")
 """
 
-
-def live_group_members(pgid):
-    """Pids of the processes of group ``pgid`` that are still running (not zombies)."""
-    live = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            text = stat.read_text()
-        except OSError:  # the process ended while we looked
-            continue
-        state, _, group = text[text.rindex(")") + 2:].split()[:3]
-        if int(group) == pgid and state != "Z":
-            live.append(int(stat.parent.name))
-    return live
+# with the thread setter hidden, run_grid spawns its workers, as without fork or OpenBLAS
+FORCE_SPAWN = "from proxyssl import protocol\nprotocol._openblas = lambda: None\n"
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
-def test_script_without_main_guard_fails_fast(tmp_path):
-    script = tmp_path / "unguarded.py"
-    script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
+def run_script(tmp_path, text, **env):
+    """Run ``text`` as a script in its own session; (returncode, stdout, stderr)."""
+    script = tmp_path / "script.py"
+    script.write_text(text, encoding="utf-8")
     src = str(Path(proxyssl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
     # its own process group holds the script, its workers and their helpers
     proc = subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
     try:
-        _, err = proc.communicate(timeout=60)
+        out, err = proc.communicate(timeout=60)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("a script calling run_grid(jobs=2) without a main guard hung")
-    assert proc.returncode != 0
-    # each worker stops at its own run_grid call, before starting a pool of its own
-    assert "run_grid was called while a worker process imported the main module" in err, err
-    assert 'ProtocolError' in err and 'if __name__ == "__main__":' in err, err
+        pytest.fail("the script hung")
     deadline = time.monotonic() + 10
     while live_group_members(proc.pid) and time.monotonic() < deadline:
         time.sleep(0.1)
@@ -468,18 +484,74 @@ def test_script_without_main_guard_fails_fast(tmp_path):
     if left:
         os.killpg(proc.pid, signal.SIGKILL)
     assert left == []
+    return proc.returncode, out, err
 
 
-def spawned_workers(pgid):
-    """Pids of group ``pgid`` that run a multiprocessing spawn worker."""
-    workers = []
-    for pid in live_group_members(pgid):
+def live_processes():
+    """(pid, parent pid, group) of each process that is still running (not a zombie)."""
+    for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
-            if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
-                workers.append(pid)
+            text = stat.read_text()
         except OSError:  # the process ended while we looked
-            pass
+            continue
+        state, parent, group = text[text.rindex(")") + 2:].split()[:3]
+        if state != "Z":
+            yield int(stat.parent.name), int(parent), int(group)
+
+
+def live_group_members(pgid):
+    """Pids of the live processes of group ``pgid``."""
+    return [pid for pid, _, group in live_processes() if group == pgid]
+
+
+def pool_workers(ppid):
+    """Pids of the live children of ``ppid``, but for multiprocessing's resource tracker."""
+    workers = []
+    for pid, parent, _ in live_processes():
+        try:
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:  # the process ended while we looked
+            continue
+        if parent == ppid and b"resource_tracker" not in cmdline:
+            workers.append(pid)
     return workers
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
+def test_script_without_main_guard_fails_fast(tmp_path):
+    returncode, _, err = run_script(tmp_path, FORCE_SPAWN + UNGUARDED_SCRIPT)
+    assert returncode != 0
+    # each spawned worker stops at its own run_grid call, before starting a pool of its own
+    assert "run_grid was called while a worker process imported the main module" in err, err
+    assert 'ProtocolError' in err and 'if __name__ == "__main__":' in err, err
+
+
+@forked_only
+def test_forked_script_needs_no_main_guard(tmp_path):
+    # a forked worker imports nothing, so the script's jobs=2 call runs as jobs=1 does
+    assert run_script(tmp_path, UNGUARDED_SCRIPT) == (0, "same results\n", "")
+
+
+BLAS_WIDTH_SCRIPT = """
+from proxyssl import AlgorithmEntry, ExperimentGrid, check_plan, protocol, run_grid
+from proxyssl.synthetic import make_blobs
+
+get_num_threads = protocol._openblas()[1]
+# each run reports the thread count of the BLAS it would train with
+protocol._execute_run = lambda *desc: (get_num_threads(), 0, 0.0)
+grid = ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=1)],
+                      algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
+                      n_seeds=4, include_oracle=False)
+print(sorted({r.max_test_acc for r in run_grid(check_plan([grid]), jobs=2)}))
+"""
+
+
+@forked_only
+@pytest.mark.parametrize("user_width, width", [(None, 1), ("3", 3)])
+def test_forked_worker_blas_width(tmp_path, monkeypatch, user_width, width):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    env = {} if user_width is None else {"OPENBLAS_NUM_THREADS": user_width}
+    assert run_script(tmp_path, BLAS_WIDTH_SCRIPT, **env) == (0, f"[{width}]\n", "")
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
@@ -489,8 +561,8 @@ def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
     data = tmp_path / "blobs.csv"
     save_csv(make_blobs("blobs", n=120, d=8, n_classes=2, separation=4.0, seed=1), data)
     spec = tmp_path / "long.ini"
-    # 1,500 short runs: the grid is still training when both workers have started
-    spec.write_text(f"[global]\ndatasets = {data}\nn_seeds = 100\nepochs = 2\n"
+    # 1,500 runs of 30 epochs: the grid is still training when both workers have started
+    spec.write_text(f"[global]\ndatasets = {data}\nn_seeds = 100\nepochs = 30\n"
                     "[study a]\nrates = 0.9, 0.8\nmax_iterations = 1\n"
                     "algorithms = supervised, TBST\n", encoding="utf-8")
     src = str(Path(proxyssl.__file__).resolve().parents[1])
@@ -501,7 +573,7 @@ def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
                             start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        while len(spawned_workers(proc.pid)) < 2:
+        while len(pool_workers(proc.pid)) < 2:
             assert proc.poll() is None, proc.stderr.read().decode()
             assert time.monotonic() < deadline, "run --jobs 2 started no two workers"
             time.sleep(0.05)
