@@ -46,13 +46,28 @@ def _resolve_out(cli_out, spec_out=None):
     return cli_out or spec_out or os.environ.get(ENV_OUT) or "results"
 
 
+def _probe_out_dir(out_dir):
+    """Make ``out_dir`` as writing the output will, so that one that cannot be made fails
+    before training, then remove each directory this made, deepest first."""
+    missing, path = [], out_dir
+    while path and not os.path.isdir(path):
+        parent, name = os.path.split(path)
+        if name not in ("", os.curdir, os.pardir):  # makedirs makes no directory for these
+            missing.append(path)
+        path = parent
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    finally:
+        for path in missing:
+            if os.path.isdir(path):  # not if makedirs failed before making it
+                os.rmdir(path)
+
+
 def cmd_run(args):
     spec = parse_spec(args.spec)
     plan = check_plan(spec.grids, spec.reference)
     out_dir = _resolve_out(args.out, spec.out_dir)
-    if not os.path.isdir(out_dir):  # one that cannot be made fails before training
-        os.makedirs(out_dir)
-        os.rmdir(out_dir)
+    _probe_out_dir(out_dir)
     results = run_grid(plan, jobs=args.jobs)
     os.makedirs(out_dir, exist_ok=True)  # only now: a run that fails or is killed leaves none
     log_path = os.path.join(out_dir, LOG_NAME)

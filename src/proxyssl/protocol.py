@@ -249,30 +249,14 @@ def _openblas():
     return None
 
 
-def _fork_pin():
-    """``(set_num_threads, width)`` that a forked worker applies to its BLAS, or
-    ``None`` where workers must be spawned.
-
-    A forked worker inherits the BLAS as the parent set it up at import, so it
-    can take the width from ``OPENBLAS_NUM_THREADS`` only through OpenBLAS's own
-    setter. A width that setter cannot take, one that is not a positive C
-    ``int``, is left to OpenBLAS to read, in a spawned worker.
-    """
-    import multiprocessing
-    width = os.environ["OPENBLAS_NUM_THREADS"]
-    if "fork" not in multiprocessing.get_all_start_methods() or not (
-            width.isascii() and width.isdigit() and 0 < int(width) < 2**31):
-        return None
-    blas = _openblas()
-    return (blas[0], int(width)) if blas else None
-
-
-def _init_worker(runs, pin=None):
+def _init_worker(runs, set_num_threads=None):
     global _worker_runs
     _worker_runs = runs
-    if pin is not None:  # forked: the parent set this BLAS up at import, as wide as the machine
-        set_num_threads, width = pin
-        set_num_threads(width)
+    if set_num_threads is not None:  # forked: the parent set this BLAS up at import
+        width = os.environ["OPENBLAS_NUM_THREADS"]
+        # a width the setter cannot take leaves the one OpenBLAS read at import, as when spawned
+        if width.isascii() and width.isdigit() and 0 < int(width) < 2**31:
+            set_num_threads(int(width))
     import multiprocessing
     parent = multiprocessing.parent_process()  # None when a test calls this in process
     if parent is not None:  # the pool's queues never close under a worker, which holds both ends
@@ -296,33 +280,36 @@ def _map_in_pool(runs, workers, on_result):
     an OpenBLAS whose thread count ``_openblas`` can set: each inherits the
     imported modules and the descriptor list, with nothing re-imported or
     pickled, and its initializer pins its BLAS to ``OPENBLAS_NUM_THREADS``
-    threads, 1 unless the user has set it. Elsewhere they are spawned: each
-    imports proxyssl afresh and receives the descriptor list once, pickled,
-    through the initializer, and only then is a script's main guard needed.
-    Either way a worker then receives only indices into the list, and the
-    BLAS thread variables are set to 1 unless the user has set them, until the
-    pool has shut down, since spawned workers start as tasks are submitted.
+    threads, 1 unless the user has set it; a value that is not a positive C
+    ``int`` leaves the width OpenBLAS read from it at import. Elsewhere they
+    are spawned: each imports proxyssl afresh and receives the descriptor list
+    once, pickled, through the initializer, and only then is a script's main
+    guard needed. Either way a worker then receives only indices into the
+    list, and the BLAS thread variables are set to 1 unless the user has set
+    them, until the pool has shut down, since spawned workers start as tasks
+    are submitted.
     """
     # loaded here, not at the top: serial commands skip their import time and memory
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    blas = _openblas() if "fork" in multiprocessing.get_all_start_methods() else None
+    set_num_threads = blas[0] if blas else None
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     for name in BLAS_THREAD_VARS:
         os.environ.setdefault(name, "1")
     try:
-        pin = _fork_pin()
         pool = ProcessPoolExecutor(max_workers=workers,
                                    mp_context=multiprocessing.get_context(
-                                       "fork" if pin else "spawn"),
-                                   initializer=_init_worker, initargs=(runs, pin))
+                                       "fork" if blas else "spawn"),
+                                   initializer=_init_worker, initargs=(runs, set_num_threads))
         try:
             results = pool.map(_run_in_worker, range(len(runs)))
             for received, desc in enumerate(runs):
                 try:
                     res = next(results)
                 except BrokenExecutor as exc:
-                    hint = "" if received or pin else f"; {_MAIN_GUARD}"
+                    hint = "" if received or blas else f"; {_MAIN_GUARD}"
                     raise ProtocolError(f"a worker process died before run {_cell(desc)} "
                                         f"finished ({exc}){hint}") from exc
                 on_result(res)

@@ -125,27 +125,23 @@ def tables_from_results(results):
     more pairs, which the paired t-test at ``stats.ALPHA`` then marks; anything
     else is a DataError.
     """
-    by_study = {}
+    # study -> (Oracle runs, {rate: its block's runs}, datasets in first-appearance order)
+    studies = {}
     for r in results:
-        by_study.setdefault(r.study, []).append(r)
+        oracle, blocks, datasets = studies.setdefault(r.study, ([], {}, {}))
+        if r.algorithm == "oracle":
+            oracle.append(r)
+        else:
+            blocks.setdefault(r.rate, []).append(r)
+            datasets.setdefault(r.dataset)
 
     tables = []
-    for study, runs in by_study.items():
-        oracle = [r for r in runs if r.algorithm == "oracle"]
-        block_runs = [r for r in runs if r.algorithm != "oracle"]
-        rates, datasets = [], []
-        for r in block_runs or oracle:
-            if r.rate not in rates:
-                rates.append(r.rate)
-            if r.dataset not in datasets:
-                datasets.append(r.dataset)
-        for r in oracle:
-            if r.dataset not in datasets:
-                datasets.append(r.dataset)
-        for rate in rates:
+    for study, (oracle, blocks, datasets) in studies.items():
+        datasets = list(dict.fromkeys([*datasets, *(r.dataset for r in oracle)]))
+        # a study of Oracle runs alone takes its rates from them
+        for rate, block in (blocks or {r.rate: [] for r in oracle}).items():
             rows, cells = [], {}
-            chosen = oracle + [r for r in block_runs if r.rate == rate]
-            for r in chosen:
+            for r in oracle + block:
                 label = format_row_label(r.algorithm, r.detail)
                 if label not in rows:
                     rows.append(label)

@@ -298,6 +298,24 @@ class TestRunAndReport:
         assert "overflow encountered" in capsys.readouterr().err
         assert out.is_dir()
 
+    @pytest.mark.parametrize("out", ["nest/a/b", "nest/a/b/", "nest/x/../a/b"])
+    def test_failed_run_removes_the_parents_its_probe_made(self, tmp_path, capsys, monkeypatch,
+                                                           out):
+        spec, _ = self.overflowing_spec(tmp_path, 1e160)
+        (tmp_path / "nest").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(spec), "--out", out]) == 3
+        assert "overflow encountered" in capsys.readouterr().err
+        assert list((tmp_path / "nest").iterdir()) == []  # nest existed before, so it stays
+
+    def test_out_that_cannot_be_made_leaves_no_parent(self, tmp_path, data_file, capsys):
+        spec = write_spec(tmp_path, data_file, "[study s]\nrates = 0.9\nalgorithms = supervised\n")
+        # makedirs makes nest and nest/a, then fails at a name too long for the file system
+        out = tmp_path / "nest" / "a" / ("x" * 300)
+        assert main(["run", str(spec), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "nest").exists()
+
     def test_report_reproduces_tables_byte_identical(self, tmp_path, data_file):
         out = self.run_spec(tmp_path, data_file)
         rep = tmp_path / "rep"

@@ -1,4 +1,6 @@
 import concurrent.futures
+import ctypes
+import io
 import multiprocessing
 import os
 import pickle
@@ -533,31 +535,83 @@ def test_forked_script_needs_no_main_guard(tmp_path):
 
 
 BLAS_WIDTH_SCRIPT = """
+import multiprocessing
+
 from proxyssl import AlgorithmEntry, ExperimentGrid, check_plan, protocol, run_grid
 from proxyssl.synthetic import make_blobs
 
 get_num_threads = protocol._openblas()[1]
+methods, get_context = [], multiprocessing.get_context
+multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)
 # each run reports the thread count of the BLAS it would train with
 protocol._execute_run = lambda *desc: (get_num_threads(), 0, 0.0)
 grid = ExperimentGrid(datasets=[make_blobs("a", n=60, d=4, n_classes=2, separation=4.0, seed=1)],
                       algorithms=[AlgorithmEntry("supervised")], unlabeled_rates=[0.5],
                       n_seeds=4, include_oracle=False)
-print(sorted({r.max_test_acc for r in run_grid(check_plan([grid]), jobs=2)}))
+widths = sorted({r.max_test_acc for r in run_grid(check_plan([grid]), jobs=2)})
+print(methods, get_num_threads(), widths, sep="\\n")
 """
 
 
 @forked_only
-@pytest.mark.parametrize("user_width, width", [(None, 1), ("3", 3)])
+@pytest.mark.parametrize("user_width, width", [(None, 1), ("3", 3), ("abc", None), ("0", None)])
 def test_forked_worker_blas_width(tmp_path, monkeypatch, user_width, width):
+    # a value the setter cannot take leaves each worker as wide as the run process (width None)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     env = {} if user_width is None else {"OPENBLAS_NUM_THREADS": user_width}
-    assert run_script(tmp_path, BLAS_WIDTH_SCRIPT, **env) == (0, f"[{width}]\n", "")
+    returncode, out, err = run_script(tmp_path, BLAS_WIDTH_SCRIPT, **env)
+    assert (returncode, err) == (0, "")
+    methods, own_width, widths = out.splitlines()
+    assert methods == "['fork']"
+    assert widths == f"[{width or own_width}]"
+
+
+def fake_libraries(monkeypatch, maps, libraries):
+    """Make ``_openblas`` read ``maps`` as /proc/self/maps and load ``libraries[path]``."""
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(protocol, "open", fake_open, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: libraries[path])
+
+
+LIBC = "7f00-7f10 r-xp 00000000 08:01 41 /usr/lib/libc.so.6\n"
+OPENBLAS = "/usr/lib/libopenblas64_p-r0.3.so"
+MAPS = LIBC + f"7f10-7f20 r-xp 00000000 08:01 42 {OPENBLAS}\n7f20-7f30 rw-p 00000000 00:00 0\n"
+
+
+@pytest.mark.parametrize("prefix, suffix", [("", ""), ("", "64_"), ("scipy_", ""),
+                                            ("scipy_", "64_")])
+def test_openblas_finds_each_symbol_variant(monkeypatch, prefix, suffix):
+    setter, getter = types.SimpleNamespace(), types.SimpleNamespace()
+    lib = types.SimpleNamespace(**{f"{prefix}openblas_set_num_threads{suffix}": setter,
+                                   f"{prefix}openblas_get_num_threads{suffix}": getter})
+    fake_libraries(monkeypatch, MAPS, {OPENBLAS: lib})
+    found = protocol._openblas()
+    assert found[0] is setter and found[1] is getter
+    assert vars(setter) == {"argtypes": [ctypes.c_int], "restype": None}
+    assert vars(getter) == {"argtypes": [], "restype": ctypes.c_int}
+
+
+@pytest.mark.parametrize("maps", [MAPS, LIBC], ids=["no-setter", "no-openblas"])
+def test_openblas_without_the_setter_is_none(monkeypatch, maps):
+    # no name of the four matches here, and a library not named like OpenBLAS is never loaded
+    lib = types.SimpleNamespace(openblas_set_num_threads_=abs, goto_set_num_threads=abs)
+    fake_libraries(monkeypatch, maps, {OPENBLAS: lib})
+    assert protocol._openblas() is None
+
+
+# the run command with OpenBLAS's thread setter hidden, so that its workers are spawned
+SPAWNING_RUN = FORCE_SPAWN + "from proxyssl.cli import cli\ncli()\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT, signal.SIGKILL],
-                         ids=["SIGTERM", "SIGINT", "SIGKILL"])
-def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
+@pytest.mark.parametrize("sig, command", [
+    pytest.param(sig, command, id=sig.name + suffix)
+    for suffix, command in (("", ["-m", "proxyssl.cli"]), ("-spawn", ["-c", SPAWNING_RUN]))
+    for sig in (signal.SIGTERM, signal.SIGINT, signal.SIGKILL)])
+def test_sigterm_to_run_leaves_no_worker(tmp_path, sig, command):
     data = tmp_path / "blobs.csv"
     save_csv(make_blobs("blobs", n=120, d=8, n_classes=2, separation=4.0, seed=1), data)
     spec = tmp_path / "long.ini"
@@ -567,8 +621,9 @@ def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
                     "algorithms = supervised, TBST\n", encoding="utf-8")
     src = str(Path(proxyssl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-m", "proxyssl.cli", "run", str(spec), "--jobs", "2",
-                             "--out", str(tmp_path / "out")], env=env, cwd=tmp_path,
+    # the output directory's parents do not exist either
+    proc = subprocess.Popen([sys.executable, *command, "run", str(spec), "--jobs", "2",
+                             "--out", str(tmp_path / "nest" / "a" / "b")], env=env, cwd=tmp_path,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                             start_new_session=True)
     try:
@@ -580,7 +635,7 @@ def test_sigterm_to_run_leaves_no_worker(tmp_path, sig):
         # run keeps each signal's default action, and its workers end with it
         proc.send_signal(sig)
         assert proc.wait(timeout=60) == -sig
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "nest").exists()
         deadline = time.monotonic() + 10
         while live_group_members(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.1)
